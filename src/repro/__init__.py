@@ -21,7 +21,8 @@ it depends on, in pure Python:
 * :mod:`repro.service` -- the serving layer: a graph registry with
   encode-once semantics, an LRU decoded-adjacency cache, and
   :class:`TraversalService`, which answers batches of mixed BFS/CC/BC
-  queries over resident graphs;
+  queries over resident graphs -- natively, with no SIMT simulation on the
+  request path;
 * :mod:`repro.dynamic` -- dynamic graph updates: a delta-overlay CGR that
   absorbs edge insertions/deletions incrementally (tombstones + side-stream
   insert logs + per-node compaction), so registered graphs mutate between
@@ -49,7 +50,8 @@ it depends on, in pure Python:
   as :class:`Telemetry` and threaded front door -> service -> shard
   executors -> caches -> views;
 * :mod:`repro.bench` -- the harness regenerating every table and figure of
-  the paper's evaluation (its GCGT bars run through the service).
+  the paper's evaluation (its GCGT bars run simulated sessions of the
+  service's resident engines).
 
 Quick start -- register a graph once, then serve any number of queries::
 

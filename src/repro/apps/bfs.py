@@ -53,10 +53,26 @@ class BFSResult:
 
 
 def bfs(engine: FrontierEngine, source: int) -> BFSResult:
-    """Run BFS from ``source`` on any frontier engine."""
+    """Run BFS from ``source`` on any frontier engine.
+
+    An engine that hands out whole decoded neighbour arrays
+    (``neighbor_arrays``, the native serving engine) runs it as a one-lane
+    array sweep of :func:`~repro.traversal.msbfs.msbfs`; levels and
+    iterations are the same as the expand pipeline's below.
+    """
     num_nodes = engine.num_nodes
     if not 0 <= source < num_nodes:
         raise IndexError(f"source {source} out of range [0, {num_nodes})")
+    if hasattr(engine, "neighbor_arrays"):
+        # Imported here: the traversal package builds on this module.
+        from repro.traversal.msbfs import msbfs
+
+        sweep = msbfs(engine, [source])
+        return BFSResult(
+            source=source,
+            levels=sweep.lane_levels[0],
+            iterations=sweep.lane_iterations[0],
+        )
     levels = np.full(num_nodes, UNREACHED, dtype=np.int64)
     levels[source] = 0
     current_level = 0

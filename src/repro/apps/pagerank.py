@@ -46,9 +46,10 @@ def personalized_pagerank(
     """Forward-push personalized PageRank from ``source``.
 
     ``degrees`` (the out-degree of every node) is needed to split residuals;
-    when omitted it is measured with one warm-up expansion per frontier, which
-    the engines support but costs extra work -- callers that already hold the
-    graph should pass ``graph.degrees()``.
+    when omitted each node's degree is measured with one expansion of that
+    node, memoized for this call only, which the engines support but costs
+    extra work -- callers that already hold the graph should pass
+    ``graph.degrees()``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -63,6 +64,10 @@ def personalized_pagerank(
     measured_degrees = (
         np.asarray(degrees, dtype=np.float64) if degrees is not None else None
     )
+    # Degrees measured by expansion belong to this call's engine and this
+    # call only: a cache outliving the call would serve another graph's
+    # degrees once the engine's id is reused.
+    expanded_degrees: dict[int, int] = {}
 
     residuals[source] = 1.0
     frontier = [source]
@@ -88,11 +93,14 @@ def personalized_pagerank(
             share = shares.get(parent, 0.0)
             if share <= 0.0:
                 return False
-            degree = _degree_of(parent, measured_degrees, engine)
+            degree = _degree_of(parent, measured_degrees, engine, expanded_degrees)
             if degree == 0:
                 return False
             residuals[neighbor] += share / degree
-            threshold = epsilon * max(1.0, _degree_of(neighbor, measured_degrees, engine))
+            threshold = epsilon * max(
+                1.0,
+                _degree_of(neighbor, measured_degrees, engine, expanded_degrees),
+            )
             if residuals[neighbor] >= threshold:
                 next_candidates.add(neighbor)
             return False  # frontier management is done manually below
@@ -110,15 +118,16 @@ def personalized_pagerank(
     )
 
 
-#: Cache of lazily measured out-degrees per engine id (fallback path only).
-_DEGREE_CACHE: dict[int, dict[int, int]] = {}
-
-
-def _degree_of(node: int, degrees: np.ndarray | None, engine: FrontierEngine) -> float:
-    """Out-degree of ``node``; measured via one expansion when not provided."""
+def _degree_of(
+    node: int,
+    degrees: np.ndarray | None,
+    engine: FrontierEngine,
+    cache: dict[int, int],
+) -> float:
+    """Out-degree of ``node``; measured via one expansion (memoized in
+    ``cache``) when ``degrees`` is not provided."""
     if degrees is not None:
         return float(degrees[node])
-    cache = _DEGREE_CACHE.setdefault(id(engine), {})
     if node not in cache:
         count = 0
 

@@ -19,11 +19,14 @@ wall-clock relative to the baseline:
 The gate asserts ``disabled`` stays within a few percent of ``baseline``
 and ``sampled`` within a slightly larger budget, which is the contract
 that makes it safe to leave the instrumentation compiled into the serving
-path.  Rounds are **interleaved** (baseline, disabled, sampled, traced,
-then again) and each mode's overhead is the best *same-round* ratio
-against the baseline: comparing within one round cancels machine-load
-drift between rounds, and taking the minimum across rounds means a
-background blip hits one round's ratio instead of biasing the verdict.
+path.  Modes are **interleaved request by request** within each round
+(every query is served by all four doors back to back, the leading mode
+rotating from one query to the next) and each mode's overhead is the best
+*same-round* ratio against the baseline: a warm query takes a few
+milliseconds, so host-speed drift over a whole mode-long pass would swamp
+a five percent budget, while request-level interleaving lands it on every
+mode alike; taking the minimum across rounds means a background blip hits
+one round's ratio instead of biasing the verdict.
 """
 
 from __future__ import annotations
@@ -126,13 +129,23 @@ def _request_mix(scale: int, count: int, seed: int) -> list:
     ]
 
 
-def _run_round(door: FrontDoor, queries) -> float:
-    """Closed-loop wall-clock seconds to serve the whole mix."""
-    began = time.perf_counter()
-    for query in queries:
-        response = door.call("bench", query, timeout=120)
-        assert response.ok, f"bench query failed: {response}"
-    return time.perf_counter() - began
+def _run_round(doors: dict[str, FrontDoor], queries) -> dict[str, float]:
+    """Closed-loop wall-clock seconds each door spends serving the mix.
+
+    Every query is served by all doors back to back, in
+    :data:`OBS_BENCH_MODES` order rotated by one per query, so no mode
+    always runs first and host-speed drift lands on every mode alike.
+    """
+    modes = list(doors)
+    seconds = dict.fromkeys(modes, 0.0)
+    for index, query in enumerate(queries):
+        shift = index % len(modes)
+        for mode in modes[shift:] + modes[:shift]:
+            began = time.perf_counter()
+            response = doors[mode].call("bench", query, timeout=120)
+            seconds[mode] += time.perf_counter() - began
+            assert response.ok, f"bench query failed: {response}"
+    return seconds
 
 
 def run_obs_benchmark(
@@ -145,16 +158,13 @@ def run_obs_benchmark(
     queries = _request_mix(scale, requests, seed=23)
     stacks = {mode: _build_door(graph, mode) for mode in OBS_BENCH_MODES}
     try:
+        doors = {mode: door for mode, (_, door) in stacks.items()}
         # One untimed warm-up pass per mode: encode, fill plan caches.
-        for _, door in stacks.values():
-            _run_round(door, queries)
+        _run_round(doors, queries)
         best: dict[str, float] = {}
         best_ratio: dict[str, float] = {}
         for _ in range(rounds):
-            timed = {
-                mode: _run_round(stacks[mode][1], queries)
-                for mode in OBS_BENCH_MODES  # interleaved within the round
-            }
+            timed = _run_round(doors, queries)
             for mode, seconds in timed.items():
                 best[mode] = min(seconds, best.get(mode, float("inf")))
                 ratio = seconds / timed["baseline"]

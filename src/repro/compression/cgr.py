@@ -280,47 +280,19 @@ class CGRGraph:
         """The sorted adjacency list of ``node`` (exact reconstruction).
 
         This is the serving hot path, so it decodes straight off the packed
-        stream -- headers and interval tuples with small bulk
-        :meth:`~repro.compression.vlc.VLCScheme.decode_run` calls, every
-        residual run with one -- without materialising the
+        stream (:func:`decode_node_adjacency`) without materialising the
         :class:`NodeLayout` structure that :meth:`layout` builds for
         structural consumers.  The output is identical to the layout-based
         decode (the property suites assert it).
         """
         self._check_node(node)
-        make_decoder = self._scheme.stream_decoder
-        if make_decoder is None:
+        if self._scheme.stream_decoder is None:
             # Schemes without a word-window decoder fall back to the
             # structural decode; identical output, higher cost.
             return self._neighbors_via_layout(node)
-        decoder = make_decoder(self.bits, self._offsets_list[node])
-        config = self.config
-        result: list[int] = []
-
-        if config.residual_segment_bits is None:
-            degree = from_vlc_value(decoder.run(1)[0])
-            if degree == 0:
-                return result
-            covered = self._decode_interval_nodes(decoder, node, result)
-            remaining = degree - covered
-            if remaining > 0:
-                result.extend(
-                    gap_decode_vlc_run(decoder.run(remaining), node)
-                )
-        else:
-            self._decode_interval_nodes(decoder, node, result)
-            seg_count = from_vlc_value(decoder.run(1)[0])
-            seg_bits = config.residual_segment_bits
-            base = decoder.position
-            for seg_index in range(seg_count):
-                decoder.seek(base + seg_index * seg_bits)
-                res_count = from_vlc_value(decoder.run(1)[0])
-                if res_count > 0:
-                    result.extend(
-                        gap_decode_vlc_run(decoder.run(res_count), node)
-                    )
-        result.sort()
-        return result
+        return decode_node_adjacency(
+            self.bits, self._offsets_list[node], node, self.config
+        )
 
     def _neighbors_via_layout(self, node: int) -> list[int]:
         """Layout-based adjacency reconstruction (slow fallback path)."""
@@ -331,33 +303,6 @@ class CGRGraph:
         result.extend(layout.residuals)
         result.sort()
         return result
-
-    def _decode_interval_nodes(self, decoder, node: int, out: list[int]) -> int:
-        """Decode the interval area straight into member node ids.
-
-        Appends every interval's nodes to ``out`` and returns the covered
-        degree.  Mirrors :func:`_decode_intervals` without building
-        :class:`~repro.compression.intervals.Interval` objects.
-        """
-        interval_count = from_vlc_value(decoder.run(1)[0])
-        if interval_count == 0:
-            return 0
-        min_len = self.config.min_interval_length
-        length_shift = 0 if min_len == float("inf") else int(min_len)
-        covered = 0
-        previous_end = node
-        values = decoder.run(2 * interval_count)
-        for index in range(interval_count):
-            gap = from_vlc_value(values[2 * index])
-            length = from_vlc_value(values[2 * index + 1]) + length_shift
-            if index == 0:
-                start = node + zigzag_decode(gap)
-            else:
-                start = previous_end + gap + 1
-            out.extend(range(start, start + length))
-            covered += length
-            previous_end = start + length - 1
-        return covered
 
     def degree(self, node: int) -> int:
         """Out-degree of ``node``."""
@@ -594,6 +539,74 @@ def _encode_segmented_residuals(
 # ---------------------------------------------------------------------------
 # Decoding internals
 # ---------------------------------------------------------------------------
+
+def decode_node_adjacency(
+    bits, position: int, node: int, config: CGRConfig
+) -> list[int]:
+    """Decode the sorted adjacency list of ``node`` stored at ``position``.
+
+    The word-window fast path behind :meth:`CGRGraph.neighbors`: headers and
+    interval tuples are read with small bulk
+    :meth:`~repro.compression.vlc.StreamDecoder.run` calls, every residual
+    run with one, without materialising a :class:`NodeLayout`.  ``bits`` is
+    any packed read surface (``extract``/``scan``), so the delta overlay
+    decodes its spliced side-stream extents through the same code.  The
+    configured scheme must provide a ``stream_decoder``.
+    """
+    decoder = config.scheme.stream_decoder(bits, position)
+    result: list[int] = []
+
+    if config.residual_segment_bits is None:
+        degree = from_vlc_value(decoder.run(1)[0])
+        if degree == 0:
+            return result
+        covered = _decode_interval_nodes(decoder, config, node, result)
+        remaining = degree - covered
+        if remaining > 0:
+            result.extend(gap_decode_vlc_run(decoder.run(remaining), node))
+    else:
+        _decode_interval_nodes(decoder, config, node, result)
+        seg_count = from_vlc_value(decoder.run(1)[0])
+        seg_bits = config.residual_segment_bits
+        base = decoder.position
+        for seg_index in range(seg_count):
+            decoder.seek(base + seg_index * seg_bits)
+            res_count = from_vlc_value(decoder.run(1)[0])
+            if res_count > 0:
+                result.extend(gap_decode_vlc_run(decoder.run(res_count), node))
+    result.sort()
+    return result
+
+
+def _decode_interval_nodes(
+    decoder, config: CGRConfig, node: int, out: list[int]
+) -> int:
+    """Decode the interval area straight into member node ids.
+
+    Appends every interval's nodes to ``out`` and returns the covered
+    degree.  Mirrors :func:`_decode_intervals` without building
+    :class:`~repro.compression.intervals.Interval` objects.
+    """
+    interval_count = from_vlc_value(decoder.run(1)[0])
+    if interval_count == 0:
+        return 0
+    min_len = config.min_interval_length
+    length_shift = 0 if min_len == float("inf") else int(min_len)
+    covered = 0
+    previous_end = node
+    values = decoder.run(2 * interval_count)
+    for index in range(interval_count):
+        gap = from_vlc_value(values[2 * index])
+        length = from_vlc_value(values[2 * index + 1]) + length_shift
+        if index == 0:
+            start = node + zigzag_decode(gap)
+        else:
+            start = previous_end + gap + 1
+        out.extend(range(start, start + length))
+        covered += length
+        previous_end = start + length - 1
+    return covered
+
 
 def _decode_intervals(
     reader: BitReader,

@@ -21,9 +21,11 @@ every decoded-plan cache entry.  :class:`DeltaOverlay` keeps the encoded base
 
 Reads are transparent: the overlay duck-types the :class:`~repro.compression.
 cgr.CGRGraph` surface the traversal engine consumes (``bits``, ``reader_at``,
-``config``, sizes) plus three dynamic hooks the engine picks up when present
--- :meth:`build_node_plan` (merged adjacency plans), :meth:`wrap_filter`
-(tombstone suppression) and :meth:`node_epoch` (cache invalidation keys).
+``config``, sizes) plus three dynamic hooks the simulated engine picks up
+when present -- :meth:`build_node_plan` (merged adjacency plans),
+:meth:`wrap_filter` (tombstone suppression) and :meth:`node_epoch` (cache
+invalidation keys).  Native serving reads :meth:`live_neighbors` instead:
+the merged list as a compact array, decoded straight off the packed stream.
 Traversal results over the overlay are identical to a from-scratch encode of
 the mutated graph; only the *cost* profile differs until compaction catches
 up, which is exactly the trade the dynamic-serving benchmarks measure.
@@ -38,8 +40,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from repro.compression.bitarray import BitReader, BitWriter, PackedBits
-from repro.compression.cgr import CGRGraph, encode_node_adjacency
+from repro.compression.cgr import (
+    CGRGraph,
+    decode_node_adjacency,
+    encode_node_adjacency,
+)
 from repro.compression.gaps import to_vlc_value, zigzag_encode
 from repro.dynamic.compaction import CompactionPolicy
 from repro.dynamic.updates import (
@@ -303,6 +311,48 @@ class DeltaOverlay:
             return sorted(extent)
         merged = (extent | delta.inserts) - delta.tombstones
         return sorted(merged)
+
+    def live_neighbors(self, node: int) -> np.ndarray:
+        """The node's live sorted adjacency as a compact ``int32`` array.
+
+        The native serving read (see :mod:`repro.traversal.native`).  A
+        clean node decodes straight off the packed stream: the base's
+        :meth:`~repro.compression.cgr.CGRGraph.neighbors` fast path, or its
+        side-stream extent once compacted.  A dirty node is its extent plus
+        its insert run minus its tombstones.  The insert run is encoded into
+        the side stream on read exactly as :meth:`build_node_plan` encodes
+        it, so live, garbage and bits-per-edge accounting are the same
+        whichever engine serves the traversal.
+        """
+        self._check_node(node)
+        delta = self._deltas.get(node)
+        if delta is None:
+            return np.asarray(self._extent_neighbor_list(node), dtype=np.int32)
+        live = self._extent_neighbor_set(node) - delta.tombstones
+        if delta.inserts:
+            segment = self._insert_segment(node, delta)
+            live = live.union(neighbor for neighbor, _, _ in segment.decoded)
+        return np.asarray(sorted(live), dtype=np.int32)
+
+    def node_bit_ranges(self, node: int) -> list[tuple[int, int]]:
+        """The ``(start_bit, num_bits)`` ranges of the spliced stream that
+        hold the node's adjacency: its current extent, then its insert run
+        once one is encoded (:meth:`live_neighbors` encodes it on read)."""
+        self._check_node(node)
+        extent = self._extents.get(node)
+        start = (
+            extent.start_bit if extent is not None
+            else int(self.base.offsets[node])
+        )
+        ranges = [(start, self.node_bit_length(node))]
+        delta = self._deltas.get(node)
+        if delta is not None and delta.inserts and delta.run is not None:
+            segment = delta.run.segment
+            ranges.append((
+                segment.data_start_bit - segment.count_bits,
+                delta.run.total_bits,
+            ))
+        return ranges
 
     def degree(self, node: int) -> int:
         """Merged out-degree of ``node`` (the *logical* degree after updates)."""
@@ -716,21 +766,27 @@ class DeltaOverlay:
         cached = self._extent_sets.get(node)
         if cached is not None:
             return cached
-        if node in self._extents:
-            members = frozenset(self._extent_neighbor_list(node))
-        else:
-            members = frozenset(self.base.neighbors(node))
+        members = frozenset(self._extent_neighbor_list(node))
         self._extent_sets[node] = members
         return members
 
     def _extent_neighbor_list(self, node: int) -> list[int]:
-        """Decode the node's extent (only) into a neighbour list."""
+        """Decode the node's current extent (only) into a sorted neighbour
+        list: the base stream, or the side-stream extent once compacted."""
+        extent = self._extents.get(node)
+        if extent is None:
+            return self.base.neighbors(node)
+        if self.config.scheme.stream_decoder is not None:
+            return decode_node_adjacency(
+                self._bits, extent.start_bit, node, self.config
+            )
         plan = build_structural_plan(self, node)
         result: list[int] = []
         for interval in plan.intervals:
             result.extend(interval.nodes())
         for segment in plan.residual_segments:
             result.extend(neighbor for neighbor, _, _ in segment.decoded)
+        result.sort()
         return result
 
     def _insert_segment(self, node: int, delta: NodeDelta) -> ResidualSegmentPlan:

@@ -14,8 +14,9 @@ hostile load.  Every request passes four stages:
    coalesce key so the dispatcher drains them together.
 3. **Dispatch** (dispatcher thread): expired requests fast-fail as deadline
    misses; requests predicted to miss (remaining budget below the observed
-   execution time for their kind) are served **degraded** from a matching
-   materialized view when one is fresh enough; the rest execute through
+   execution time for their kind), and requests that waited while the door
+   was shedding load, are served **degraded** from a matching materialized
+   view when one is fresh enough; the rest execute through
    :meth:`~repro.service.TraversalService.submit` with a cooperative
    cancellation checkpoint, so an expired or cancelled request stops
    consuming decode/exchange budget at the next superstep boundary.
@@ -299,6 +300,9 @@ class FrontDoor:
         #: Exponential moving average of fresh execution seconds per query
         #: kind -- the miss predictor behind degraded serving.
         self._exec_ema: dict[str, float] = {}
+        #: Clock time of the most recent load shed (full queue or priority
+        #: eviction); ``None`` until the door first sheds.
+        self._shed_at: float | None = None
         self._lock = threading.Lock()
         self._closing = False
         #: The attached maintenance scheduler (None until
@@ -563,6 +567,7 @@ class FrontDoor:
                 admitted, evicted = self.admission.offer(request)
                 if not admitted:
                     state.counters.shed += 1
+                    self._shed_at = now
                     rejection = Overloaded(
                         f"admission queue full "
                         f"({self.admission.capacity} waiting)",
@@ -670,6 +675,7 @@ class FrontDoor:
         """Complete a queue-evicted request as shed (priority displacement)."""
         request.tenant.counters.shed += 1
         request.tenant.counters.admitted -= 1
+        self._shed_at = self.clock()
         self.audit.record(
             "rejected", request.tenant.name, request.request_id,
             trace_id=request.trace_id,
@@ -772,7 +778,7 @@ class FrontDoor:
                 self._finish_cancelled(request)
             elif request.deadline.expired:
                 self._finish_missed(request, where="queued")
-            elif self._predicts_miss(request) and self._try_degrade(request):
+            elif self._should_degrade(request) and self._try_degrade(request):
                 pass
             else:
                 live.append(request)
@@ -868,12 +874,19 @@ class FrontDoor:
 
     # -- degradation -----------------------------------------------------------
 
-    def _predicts_miss(self, request: _Request) -> bool:
-        """Whether fresh execution is predicted to blow the deadline.
+    def _should_degrade(self, request: _Request) -> bool:
+        """Whether to serve ``request`` from a view instead of fresh.
 
-        Uses the per-kind execution-seconds EMA; with no deadline or no
-        observations yet, predicts a hit (run fresh).
+        Two triggers.  The door shed load while the request waited: demand
+        exceeds capacity, so a fresh sweep would only lengthen the queue
+        every waiting request pays for.  Or fresh execution is predicted to
+        blow the request's own deadline, from the per-kind
+        execution-seconds EMA; with no deadline or no observations yet,
+        that predicts a hit (run fresh).
         """
+        shed_at = self._shed_at
+        if shed_at is not None and shed_at > request.submitted_at:
+            return True
         remaining = request.deadline.remaining()
         if remaining is None:
             return False

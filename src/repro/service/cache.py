@@ -1,24 +1,28 @@
-"""LRU cache of decoded node adjacency structure, keyed by mutation epoch.
+"""LRU cache of decoded node adjacency, keyed by mutation epoch.
 
-Decoding a node's compressed adjacency list -- walking its interval
-descriptors and locating every residual segment -- is a pure function of the
-graph *at one point in time*, yet the seed paid it on every query that
-touched the node.  The service keeps one :class:`DecodedAdjacencyCache` per
-registered graph and plugs it into the engine's
-:meth:`~repro.traversal.gcgt.GCGTEngine.node_plan` hook, so a hot node's
-structural decode is paid once per graph, not once per query.
+Decoding a node's compressed adjacency list is a pure function of the graph
+*at one point in time*, yet the seed paid it on every query that touched the
+node.  The service keeps one :class:`DecodedAdjacencyCache` per registered
+graph, holding each node's live neighbours as a compact ``int32`` array that
+native serving (:class:`~repro.traversal.native.NativeSession`) reads, so a
+hot node's decode is paid once per graph and epoch, not once per query.  The
+simulated engine (:class:`~repro.traversal.gcgt.GCGTEngine`) plugs a cache
+of its own into its :meth:`~repro.traversal.gcgt.GCGTEngine.node_plan` hook,
+holding structural :class:`~repro.traversal.context.NodePlan` objects; one
+cache never mixes the two value types.
 
 Dynamic graphs add a second axis: when an update batch mutates a node, its
-cached plan must never be served again.  Every entry therefore carries the
+cached value must never be served again.  Every entry therefore carries the
 node's **mutation epoch** (see :meth:`repro.dynamic.DeltaOverlay.node_epoch`);
-a lookup whose epoch differs from the cached one drops the stale plan,
+a lookup whose epoch differs from the cached one drops the stale value,
 counts an *invalidation* and rebuilds.  Static graphs always look up at
 epoch 0, which degenerates to the plain LRU behaviour.
 
-The *simulated* decode cost the strategies charge is unaffected: plans only
-describe where the bits are; every strategy still charges the warp for the
-decode rounds it would execute on hardware.  What the cache saves is real
-host-side Python time -- the quantity the serving benchmarks measure.
+The *simulated* decode cost the strategies charge is unaffected by the
+cache: plans only describe where the bits are; every strategy still charges
+the warp for the decode rounds it would execute on hardware.  What the cache
+saves is real host-side Python time -- the quantity the serving benchmarks
+measure.
 """
 
 from __future__ import annotations
@@ -26,9 +30,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator
-
-from repro.traversal.context import NodePlan
+from typing import Any, Callable, Iterator
 
 
 def hit_rate(hits: int, misses: int) -> float:
@@ -55,12 +57,15 @@ class CacheSnapshot:
 
 
 class DecodedAdjacencyCache:
-    """An LRU mapping node id -> decoded :class:`NodePlan` at one epoch.
+    """An LRU mapping node id -> decoded adjacency at one epoch.
 
-    Satisfies the :class:`repro.traversal.gcgt.PlanCache` protocol.  Capacity
-    bounds the number of resident plans; a lookup of a cached node refreshes
-    its recency, and inserting into a full cache evicts the least recently
-    used entry.  Counters distinguish capacity pressure (``evictions``) from
+    Values are opaque to the cache: live neighbour arrays for native
+    serving, :class:`~repro.traversal.context.NodePlan` objects for the
+    simulated engine (it satisfies the
+    :class:`repro.traversal.gcgt.PlanCache` protocol).  Capacity bounds the
+    number of resident entries; a lookup of a cached node refreshes its
+    recency, and inserting into a full cache evicts the least recently used
+    entry.  Counters distinguish capacity pressure (``evictions``) from
     update churn (``invalidations``):
 
     * ``evictions`` -- plans displaced to make room, **including** resident
@@ -74,7 +79,7 @@ class DecodedAdjacencyCache:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._plans: OrderedDict[int, tuple[int, NodePlan]] = OrderedDict()
+        self._plans: OrderedDict[int, tuple[int, Any]] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -99,10 +104,9 @@ class DecodedAdjacencyCache:
 
     # -- PlanCache protocol ---------------------------------------------------
 
-    def lookup(
-        self, node: int, build: Callable[[], NodePlan], epoch: int = 0
-    ) -> NodePlan:
-        """The plan for ``node`` at ``epoch``, building and inserting on a miss.
+    def lookup(self, node: int, build: Callable[[], Any], epoch: int = 0) -> Any:
+        """The value for ``node`` at ``epoch``, building and inserting on a
+        miss.
 
         A resident plan from a *different* epoch is stale -- the node mutated
         since it was decoded -- so it is dropped (counted as an

@@ -4,9 +4,10 @@ A query names a registered graph and carries the application-specific
 parameters; the service answers with a :class:`QueryResult` bundling the
 application's output (:class:`~repro.apps.bfs.BFSResult`,
 :class:`~repro.apps.cc.CCResult` or :class:`~repro.apps.bc.BCResult`) with
-per-query serving metrics: the simulated traversal cost and how much
-encode/decode work the query actually caused -- which is how tests verify
-that the registry and the decoded-plan cache amortize work across a batch.
+per-query serving metrics: how much encode/decode work the query actually
+caused -- which is how tests verify that the registry and the
+decoded-adjacency cache amortize work across a batch -- plus the simulated
+traversal cost where a simulator ran (sharded entries only).
 """
 
 from __future__ import annotations
@@ -77,21 +78,27 @@ class QueryMetrics:
 
     Attributes:
         cost: simulated total-work cost of the traversal (same units as
-            :meth:`GCGTEngine.cost`).
+            :meth:`GCGTEngine.cost`).  ``0.0`` means the query was not
+            simulated: unsharded entries are served natively, and their
+            simulated cost comes from sessions of the entry's
+            :class:`~repro.traversal.gcgt.GCGTEngine` (as the paper's
+            figure harness runs them).
         elapsed_proxy: cost divided by the device's warp-level parallelism,
-            comparable with the benchmark figures' elapsed axis.
+            comparable with the benchmark figures' elapsed axis; ``0.0``
+            when not simulated, like ``cost``.
         iterations: frontier iterations the application ran.
-        cache_hits: decoded-plan cache hits this query produced.
-        cache_misses: decoded-plan cache misses (nodes decoded afresh).
+        cache_hits: decoded-adjacency cache hits this query produced.
+        cache_misses: decoded-adjacency cache misses (nodes decoded
+            afresh).
         encode_calls: full-graph encode calls triggered while serving this
             query; 0 whenever the graph was already resident (encode-once).
-        cache_invalidations: stale plans dropped while serving this query
-            (epoch-mismatched lookups after an update batch).
+        cache_invalidations: stale entries dropped while serving this
+            query (epoch-mismatched lookups after an update batch).
         graph_epoch: the served graph's mutation epoch at answer time (0 for
             never-updated graphs); lets clients correlate answers with the
             update stream.
         cache_miss_decode_ns: wall-clock nanoseconds this query spent
-            decoding node plans on cache misses -- the real host-side cost
+            decoding adjacency on cache misses -- the real host-side cost
             of the packed bit-stream engine, observable per query (0 for a
             fully warm cache).
         shard_fanout: distinct shards this query's supersteps scattered work
@@ -106,6 +113,11 @@ class QueryMetrics:
             attributed by lane: floats divided evenly, integer counters
             split so they sum back to the sweep's totals.
         batch_lane: this query's lane within its sweep (0 when unbatched).
+        memory_transactions: device-memory transactions (cache lines) this
+            query's cache-miss decodes read from the compressed stream on
+            the native path -- the traffic the compression saves, with no
+            warp simulated (0 for a fully warm cache, and on sharded
+            entries, whose traffic is part of ``cost``).
     """
 
     cost: float
@@ -121,10 +133,11 @@ class QueryMetrics:
     exchange_volume: int = 0
     batch_lanes: int = 1
     batch_lane: int = 0
+    memory_transactions: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
-        """Fraction of plan lookups served from the cache (1.0 when no lookups)."""
+        """Fraction of adjacency lookups served from the cache (1.0 when no lookups)."""
         return hit_rate(self.cache_hits, self.cache_misses)
 
 

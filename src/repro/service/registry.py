@@ -9,14 +9,19 @@ not just the encoding part, so two ladder rungs that share an encoding but
 schedule differently get their own engines -- and the same (name, config)
 pair is never encoded twice.
 
-Each entry's engine reads the graph through a
+Each entry reads the graph through a
 :class:`~repro.dynamic.DeltaOverlay`, which is what lets
 :meth:`GraphRegistry.apply_updates` absorb edge insertions/deletions in time
 proportional to the batch: the frozen base is never re-encoded; inserts land
 in the overlay's side stream, deletions become tombstones, and per-node
 compaction folds oversized deltas back into CGR form.  Every touched node's
-cached decode plan is invalidated by epoch, so queries after a batch see the
-mutated graph while untouched nodes keep their warm plans.
+cached neighbour array is invalidated by epoch, so queries after a batch see
+the mutated graph while untouched nodes stay warm.
+
+Unsharded entries are served natively (:class:`~repro.traversal.native.
+NativeSession` over the overlay and the entry's decoded-adjacency cache);
+each also keeps a simulated :class:`~repro.traversal.gcgt.GCGTEngine`, with a
+plan cache of its own, which the paper's figure harness drives directly.
 
 Connected components runs on the undirected interpretation of a graph, so the
 registry also keeps a lazily-built undirected sibling per entry, again encoded
@@ -50,6 +55,7 @@ from repro.gpu.device import GPUDevice
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.traversal.gcgt import GCGTConfig, GCGTEngine
+from repro.traversal.native import NativeSession
 
 from repro.service.cache import CacheSnapshot, DecodedAdjacencyCache
 
@@ -73,12 +79,15 @@ class RegisteredGraph:
         config: the full engine configuration this entry was built with.
         cgr: the frozen base encode (``None`` for sharded entries, whose
             per-shard bases live inside ``sharded``).
-        overlay: the delta overlay the engine reads through (``None`` for
+        overlay: the delta overlay queries read through (``None`` for
             sharded entries, which keep one overlay per shard).
-        engine: the resident traversal engine (``None`` for sharded entries,
-            served through ``executor`` instead).
-        plan_cache: the per-entry decoded-plan LRU (``None`` for sharded
-            entries, which keep one cache per shard).
+        engine: the simulated SIMT engine over the overlay, with its own
+            plan cache: not on the serving path, which is native; the
+            paper's figure harness runs its sessions for modelled cost
+            (``None`` for sharded entries, served through ``executor``).
+        plan_cache: the per-entry decoded-adjacency LRU native serving reads
+            through, holding one live neighbour array per node and epoch
+            (``None`` for sharded entries, which keep one cache per shard).
         sharded: the per-shard encode of a sharded entry, else ``None``.
         executor: the scatter-gather superstep engine of a sharded entry.
         shards: the registered shard count (``None`` for unsharded entries).
@@ -163,8 +172,18 @@ class RegisteredGraph:
         assert self.overlay is not None
         return self.overlay.bits_per_edge
 
+    def frontier_engine(self):
+        """The engine this entry's queries run on: the shard executor, or a
+        fresh :class:`~repro.traversal.native.NativeSession` over the
+        overlay and the entry's decoded-adjacency cache."""
+        if self.executor is not None:
+            return self.executor
+        return NativeSession(
+            self.overlay, self.plan_cache, self.engine.device.cache_line_bytes
+        )
+
     def all_plan_caches(self) -> list[DecodedAdjacencyCache]:
-        """Every decoded-plan cache backing this entry (one per shard for
+        """Every decoded-adjacency cache backing this entry (one per shard for
         sharded entries; empty on the process backend, whose caches live in
         worker processes)."""
         if self.executor is not None:
@@ -191,6 +210,21 @@ class RegisteredGraph:
             miss_decode_ns=sum(c.miss_decode_ns for c in caches),
             build_failures=sum(c.build_failures for c in caches),
         )
+
+
+def simulated_engine(
+    overlay: DeltaOverlay,
+    device: GPUDevice,
+    config: GCGTConfig,
+    cache_capacity: int,
+) -> GCGTEngine:
+    """The simulated engine of an unsharded entry, with a plan cache of its
+    own so native neighbour arrays and :class:`NodePlan` objects never share
+    one cache."""
+    return GCGTEngine(
+        overlay, device=device, config=config,
+        plan_cache=DecodedAdjacencyCache(cache_capacity),
+    )
 
 
 class GraphRegistry:
@@ -413,9 +447,6 @@ class GraphRegistry:
         overlay = DeltaOverlay(cgr, policy=self.compaction_policy)
         if plan_cache is None:
             plan_cache = DecodedAdjacencyCache(self.cache_capacity)
-        engine = GCGTEngine(
-            overlay, device=self.device, config=config, plan_cache=plan_cache
-        )
         self.encode_calls += 1
         return RegisteredGraph(
             name=name,
@@ -423,7 +454,9 @@ class GraphRegistry:
             config=config,
             cgr=cgr,
             overlay=overlay,
-            engine=engine,
+            engine=simulated_engine(
+                overlay, self.device, config, self.cache_capacity
+            ),
             plan_cache=plan_cache,
             _csr=CSRGraph.from_graph(graph),
         )
@@ -660,13 +693,11 @@ class GraphRegistry:
         overlay.updates_ignored = old.updates_ignored
         overlay.compactions = old.compactions
         entry.plan_cache.clear()
-        engine = GCGTEngine(
-            overlay, device=self.device, config=entry.config,
-            plan_cache=entry.plan_cache,
-        )
         entry.cgr = cgr
         entry.overlay = overlay
-        entry.engine = engine
+        entry.engine = simulated_engine(
+            overlay, self.device, entry.config, self.cache_capacity
+        )
         entry.base_generation += 1
         self.encode_calls += 1
         return [{
@@ -855,4 +886,4 @@ class GraphRegistry:
                 entry.executor.close()
 
 
-__all__ = ["GraphRegistry", "RegisteredGraph", "RegistryKey"]
+__all__ = ["GraphRegistry", "RegisteredGraph", "RegistryKey", "simulated_engine"]

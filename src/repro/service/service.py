@@ -3,10 +3,18 @@
 :class:`TraversalService` is the serving layer the ROADMAP's
 heavy-query-traffic north star asks for: graphs are registered once (paying
 encode + device residency once, see :mod:`repro.service.registry`), then any
-number of mixed BFS/CC/BC queries are answered from the resident state.  Each
-query runs on a fresh :class:`~repro.traversal.gcgt.TraversalSession`, so
-queries never leak traversal state into each other while sharing the encoded
-graph and the decoded-plan LRU cache.
+number of mixed BFS/CC/BC queries are answered from the resident state.
+
+Unsharded entries are served **natively**: each query runs on a fresh
+:class:`~repro.traversal.native.NativeSession` that decodes live neighbour
+lists straight off the compressed graph into the entry's epoch-keyed
+decoded-adjacency cache, with no SIMT simulation on the request path, so
+queries never leak traversal state into each other while sharing the
+encoded graph and the cache.  Sharded entries run on their scatter-gather
+:class:`~repro.shard.executor.ShardExecutor`.  Both expand in canonical
+order, so every answer is the same bit for bit on either path.  The
+simulator stays the paper-reproduction instrument: the figure harness
+drives each entry's :class:`~repro.traversal.gcgt.GCGTEngine` directly.
 
 ``submit`` takes a heterogeneous batch and returns one
 :class:`~repro.service.queries.QueryResult` per query, in order.  Per-query
@@ -21,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.apps.bc import betweenness_centrality
-from repro.apps.bfs import bfs
 from repro.apps.cc import connected_components
 from repro.apps.pagerank import personalized_pagerank
 from repro.dynamic.updates import UpdateStats
@@ -29,7 +36,7 @@ from repro.gpu.device import GPUDevice
 from repro.graph.graph import Graph
 from repro.obs.telemetry import Telemetry
 from repro.traversal.gcgt import GCGTConfig
-from repro.traversal.msbfs import LANE_WIDTH, msbfs
+from repro.traversal.msbfs import LANE_WIDTH
 
 from repro.service.cache import hit_rate
 from repro.service.queries import (
@@ -67,9 +74,9 @@ class ServiceStats:
             (update batches add none -- that is the dynamic-serving point).
         queries_served: queries answered since construction.
         cache_hits / cache_misses / cache_evictions / cache_invalidations:
-            decoded-plan cache counters summed over all resident entries.
+            decoded-adjacency cache counters summed over all resident entries.
         cache_miss_decode_ns: total wall-clock nanoseconds spent decoding
-            node plans on cache misses, summed over all resident entries.
+            adjacency on cache misses, summed over all resident entries.
         update_batches: edge-update batches absorbed via
             :meth:`TraversalService.apply_updates`.
         edges_inserted / edges_deleted: effective edge mutations applied.
@@ -118,8 +125,56 @@ class ServiceStats:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Fraction of plan lookups served from the caches."""
+        """Fraction of adjacency lookups served from the caches."""
         return hit_rate(self.cache_hits, self.cache_misses)
+
+
+class _ShardWindow:
+    """The executor counter window of one query or sweep.
+
+    Installs ``checkpoint`` on a sharded entry's executor for the duration
+    and, via :meth:`deltas`, reports the simulated cost, elapsed proxy,
+    shard fan-out and exchange volume the window accumulated.  Native
+    (unsharded) serving runs no simulator, so all four are zero.
+    """
+
+    def __init__(self, executor, checkpoint) -> None:
+        self.executor = executor
+        self.checkpoint = checkpoint
+        self.before = None
+
+    def __enter__(self) -> "_ShardWindow":
+        if self.executor is not None:
+            self.before = self.executor.counters()
+            self.executor.checkpoint = self.checkpoint
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.executor is not None:
+            self.executor.checkpoint = None
+
+    def deltas(self) -> tuple[float, float, int, int]:
+        """``(cost, elapsed_proxy, shard_fanout, exchange_volume)``."""
+        if self.executor is None:
+            return 0.0, 0.0, 0, 0
+        before, after = self.before, self.executor.counters()
+        fanout = sum(
+            1
+            for was, now in zip(before.shard_touches, after.shard_touches)
+            if now > was
+        )
+        return (
+            after.cost - before.cost,
+            after.elapsed_proxy - before.elapsed_proxy,
+            fanout,
+            after.exchange_volume - before.exchange_volume,
+        )
+
+
+def _memory_transactions(entry, engine) -> int:
+    """Device-memory transactions a native session's cache misses read (0
+    on sharded entries, whose traffic is part of the simulated cost)."""
+    return 0 if entry.is_sharded else engine.metrics.memory_transactions
 
 
 class TraversalService:
@@ -570,13 +625,12 @@ class TraversalService:
         per :data:`~repro.traversal.msbfs.LANE_WIDTH` queries (see
         :mod:`repro.traversal.msbfs`): each adjacency list the union
         frontier touches is decoded once for up to 64 searches, on both the
-        single-engine and scatter-gather sharded paths, with the whole
-        group pinned to one overlay epoch.  Results are bit-identical to
-        serving each query alone; per-query metrics attribute the shared
-        sweep by lane (see
-        :attr:`~repro.service.queries.QueryMetrics.batch_lanes`).  All
-        other queries run on their own traversal session over the shared
-        resident graph, exactly as before.
+        native and scatter-gather sharded paths, with the whole group
+        pinned to one overlay epoch.  Results are bit-identical to serving
+        each query alone; per-query metrics attribute the shared sweep by
+        lane (see :attr:`~repro.service.queries.QueryMetrics.batch_lanes`).
+        All other queries run on their own session over the shared
+        resident graph.
 
         ``checkpoint``, when given, is a zero-argument callable polled
         **between queries** (and between the lane-packed sweeps of a wide
@@ -668,10 +722,9 @@ class TraversalService:
         Queries are packed :data:`~repro.traversal.msbfs.LANE_WIDTH` at a
         time, in submission order; wider groups spill into consecutive
         sweeps (``checkpoint`` polled between them).  Each sweep runs
-        either on a fresh traversal session of the entry's engine (so its
-        simulated cost is the sweep's alone) or, for sharded entries,
-        through the executor's superstep-native
-        :meth:`~repro.shard.executor.ShardExecutor.msbfs`.
+        :meth:`~repro.traversal.native.NativeSession.msbfs` on a fresh
+        native session or, for sharded entries, the executor's
+        superstep-native :meth:`~repro.shard.executor.ShardExecutor.msbfs`.
         """
         results: list[QueryResult] = []
         for start in range(0, len(queries), LANE_WIDTH):
@@ -705,41 +758,16 @@ class TraversalService:
         encode_before = self.registry.encode_calls
         cache_before = entry.cache_counters()
         epoch = entry.epoch
-        executor = entry.executor
+        engine = entry.frontier_engine()
         sweep_span = self.tracer.span(
             "msbfs.sweep", graph=entry.name, lanes=lanes, epoch=epoch,
-            sharded=executor is not None,
+            sharded=entry.is_sharded,
         )
-        if executor is not None:
-            shard_before = executor.counters()
-            executor.checkpoint = checkpoint
-            try:
-                with sweep_span:
-                    sweep = executor.msbfs(sources)
-            finally:
-                executor.checkpoint = None
-            shard_after = executor.counters()
-            cost = shard_after.cost - shard_before.cost
-            elapsed = shard_after.elapsed_proxy - shard_before.elapsed_proxy
-            shard_fanout = sum(
-                1
-                for before, after in zip(
-                    shard_before.shard_touches, shard_after.shard_touches
-                )
-                if after > before
-            )
-            exchange = (
-                shard_after.exchange_volume - shard_before.exchange_volume
-            )
-        else:
-            assert entry.engine is not None
-            session = entry.engine.new_session()
+        with _ShardWindow(entry.executor, checkpoint) as window:
             with sweep_span:
-                sweep = msbfs(session, sources)
-            cost = session.cost()
-            elapsed = self.device.elapsed_proxy(session.metrics)
-            shard_fanout = 0
-            exchange = 0
+                sweep = engine.msbfs(sources)
+        cost, elapsed, shard_fanout, exchange = window.deltas()
+        transactions = _split_count(_memory_transactions(entry, engine), lanes)
         cache_after = entry.cache_counters()
 
         hits = _split_count(cache_after.hits - cache_before.hits, lanes)
@@ -776,6 +804,7 @@ class TraversalService:
                 exchange_volume=exchange_split[lane],
                 batch_lanes=lanes,
                 batch_lane=lane,
+                memory_transactions=transactions[lane],
             )
             results.append(
                 QueryResult(
@@ -801,42 +830,23 @@ class TraversalService:
             self._instrument_entry(entry)
 
         cache_before = entry.cache_counters()
-        executor = entry.executor
-        if executor is not None:
-            # Sharded entry: the scatter-gather executor is the frontier
-            # engine; cost and exchange counters are attributed by delta.
-            engine = executor
-            shard_before = executor.counters()
-            executor.checkpoint = checkpoint
-        else:
-            engine = entry.engine.new_session()
-            shard_before = None
-
+        engine = entry.frontier_engine()
         query_span = self.tracer.span(
             "query", graph=query.graph, kind=type(query).__name__,
-            sharded=executor is not None,
+            sharded=entry.is_sharded,
         )
-        try:
+        with _ShardWindow(entry.executor, checkpoint) as window:
             with query_span:
                 if isinstance(query, BFSQuery):
-                    if executor is not None:
-                        # Superstep-native sharded BFS: shard-side
-                        # admission, node-id frontier exchange;
-                        # bit-identical to bfs() on an engine.
-                        value = executor.bfs(query.source)
-                    else:
-                        value = bfs(engine, query.source)
-                    kind, iterations = "bfs", value.iterations
+                    kind, value = "bfs", engine.bfs(query.source)
                 elif isinstance(query, CCQuery):
                     kind, value = "cc", connected_components(
                         engine, max_iterations=query.max_iterations
                     )
-                    iterations = value.iterations
                 elif isinstance(query, BCQuery):
                     kind, value = "bc", betweenness_centrality(
                         engine, query.source
                     )
-                    iterations = value.iterations
                 elif isinstance(query, PageRankQuery):
                     kind, value = "pagerank", personalized_pagerank(
                         engine,
@@ -846,34 +856,12 @@ class TraversalService:
                         degrees=entry.graph.degrees(),
                         max_iterations=query.max_iterations,
                     )
-                    iterations = value.iterations
                 else:
                     raise TypeError(
                         f"unsupported query type {type(query).__name__}"
                     )
-        finally:
-            if executor is not None:
-                executor.checkpoint = None
-
-        if shard_before is not None:
-            shard_after = executor.counters()
-            cost = shard_after.cost - shard_before.cost
-            elapsed = shard_after.elapsed_proxy - shard_before.elapsed_proxy
-            shard_fanout = sum(
-                1
-                for before, after in zip(
-                    shard_before.shard_touches, shard_after.shard_touches
-                )
-                if after > before
-            )
-            exchange_volume = (
-                shard_after.exchange_volume - shard_before.exchange_volume
-            )
-        else:
-            cost = engine.cost()
-            elapsed = self.device.elapsed_proxy(engine.metrics)
-            shard_fanout = 0
-            exchange_volume = 0
+        cost, elapsed, shard_fanout, exchange_volume = window.deltas()
+        iterations = value.iterations
 
         cache_after = entry.cache_counters()
         self.queries_served += 1
@@ -893,6 +881,7 @@ class TraversalService:
             ),
             shard_fanout=shard_fanout,
             exchange_volume=exchange_volume,
+            memory_transactions=_memory_transactions(entry, engine),
         )
         if query_span.recording:
             query_span.annotate(

@@ -44,8 +44,8 @@ from repro.gpu.device import GPUDevice
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.service.cache import DecodedAdjacencyCache
-from repro.service.registry import RegisteredGraph
-from repro.traversal.gcgt import GCGTConfig, GCGTEngine
+from repro.service.registry import RegisteredGraph, simulated_engine
+from repro.traversal.gcgt import GCGTConfig
 
 from repro.store.files import (
     graph_fingerprint,
@@ -451,18 +451,14 @@ def _restore_unsharded(
         directory / manifest["delta_files"][0], base, policy=policy
     )
     graph = overlay.materialize()
-    plan_cache = DecodedAdjacencyCache(cache_capacity)
-    engine = GCGTEngine(
-        overlay, device=device, config=config, plan_cache=plan_cache
-    )
     return RegisteredGraph(
         name=manifest["name"],
         graph=graph,
         config=config,
         cgr=base,
         overlay=overlay,
-        engine=engine,
-        plan_cache=plan_cache,
+        engine=simulated_engine(overlay, device, config, cache_capacity),
+        plan_cache=DecodedAdjacencyCache(cache_capacity),
         base_generation=manifest["base_generations"][0],
         _csr=CSRGraph.from_graph(graph),
     )

@@ -15,7 +15,10 @@ top of the SIMT simulator, plus the engine that combines them:
   combination of the optimizations enabled (the knobs Figure 9 sweeps);
 * :mod:`msbfs` -- bit-parallel multi-source BFS: up to 64 concurrent
   searches packed into one ``uint64`` lane mask per node, advanced by a
-  single shared frontier sweep through the same pipeline.
+  single shared frontier sweep through the same pipeline;
+* :mod:`native` -- :class:`NativeSession`, the serving engine: the same
+  frontier pipeline over cached decoded neighbour arrays, with no SIMT
+  simulation (the simulator stays the instrument behind the figures).
 """
 
 from repro.traversal.frontier import FrontierQueue
@@ -33,6 +36,7 @@ from repro.traversal.gcgt import (
     TraversalSession,
 )
 from repro.traversal.msbfs import LANE_WIDTH, MSBFSResult, msbfs
+from repro.traversal.native import NativeSession
 
 __all__ = [
     "FrontierQueue",
@@ -51,4 +55,5 @@ __all__ = [
     "LANE_WIDTH",
     "MSBFSResult",
     "msbfs",
+    "NativeSession",
 ]

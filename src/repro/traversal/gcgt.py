@@ -120,8 +120,8 @@ class TraversalSession:
     graph, the device, the scheduling strategy and the decoded-plan cache.  A
     session owns only what is private to one query: its accumulated
     :class:`KernelMetrics`.  Many sessions can run over one engine, which is
-    what lets a serving layer (:class:`repro.service.TraversalService`) pay
-    the encode cost once per graph instead of once per query.
+    what lets the figure harness and the sharded executor pay the encode
+    cost once per graph instead of once per query.
     """
 
     def __init__(self, engine: "GCGTEngine") -> None:

@@ -20,8 +20,11 @@ The sweep itself runs through the engine's ordinary
 ``expand(frontier, filter_fn)`` pipeline, so the warp-level cost model, the
 strategy ladder and the decoded-plan cache all apply unchanged: the filter
 callback is the lane-aware admission of Figure 7(b), admitting a node into
-the next frontier exactly once per sweep however many lanes reach it.  BFS
-levels are distance-determined, so every lane's extracted
+the next frontier exactly once per sweep however many lanes reach it.  An
+engine that holds decoded neighbour arrays (native serving, see
+:mod:`repro.traversal.native`) runs the same sweep as array operations over
+them instead, one lane being a single BFS.  BFS levels are
+distance-determined, so every lane's extracted
 :class:`~repro.apps.bfs.BFSResult` is bit-identical to a sequential
 :func:`~repro.apps.bfs.bfs` from the same source -- the differential suite
 in ``tests/test_msbfs.py`` pins this across graph families, strategy rungs
@@ -37,7 +40,7 @@ consecutive sweeps).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -134,8 +137,8 @@ def msbfs(engine: FrontierEngine, sources: Sequence[int]) -> MSBFSResult:
 
     ``engine`` is any frontier engine -- a resident
     :class:`~repro.traversal.gcgt.GCGTEngine`, a per-query
-    :class:`~repro.traversal.gcgt.TraversalSession` (the service path, so
-    the sweep's simulated cost accumulates per batch), or a
+    :class:`~repro.traversal.gcgt.TraversalSession` (so the sweep's
+    simulated cost accumulates per batch), or a
     :class:`~repro.shard.executor.ShardExecutor` through its generic
     canonical-order ``expand`` (the executor's own
     :meth:`~repro.shard.executor.ShardExecutor.msbfs` is the
@@ -143,8 +146,12 @@ def msbfs(engine: FrontierEngine, sources: Sequence[int]) -> MSBFSResult:
 
     Each adjacency list the union frontier touches is decoded **once per
     sweep** for all packed searches; the per-pair filter work is pure word
-    arithmetic on the lane masks.  Raises :class:`ValueError` for an empty
-    or over-wide batch and :class:`IndexError` for out-of-range sources.
+    arithmetic on the lane masks.  An engine that hands out whole decoded
+    neighbour arrays (``neighbor_arrays``, as the native serving engine
+    :class:`~repro.traversal.native.NativeSession` does) runs the same sweep
+    as array operations instead (:func:`_array_sweep`).  Raises
+    :class:`ValueError` for an empty or over-wide batch and
+    :class:`IndexError` for out-of-range sources.
     """
     num_nodes = engine.num_nodes
     batch = validate_sources(sources, num_nodes)
@@ -153,6 +160,9 @@ def msbfs(engine: FrontierEngine, sources: Sequence[int]) -> MSBFSResult:
             f"{len(batch)} sources exceed the {LANE_WIDTH}-lane word width; "
             "split the batch into sweeps"
         )
+    neighbor_arrays = getattr(engine, "neighbor_arrays", None)
+    if neighbor_arrays is not None:
+        return _array_sweep(neighbor_arrays, num_nodes, batch)
     lanes = len(batch)
 
     # Per-node lane masks as plain Python ints: the filter below runs once
@@ -205,6 +215,66 @@ def msbfs(engine: FrontierEngine, sources: Sequence[int]) -> MSBFSResult:
         lane_levels=lane_levels,
         lane_iterations=lane_iterations_from_levels(lane_levels),
         sweeps=sweeps,
+    )
+
+
+def _array_sweep(
+    neighbor_arrays: Callable[[np.ndarray], list[np.ndarray]],
+    num_nodes: int,
+    batch: tuple[int, ...],
+) -> MSBFSResult:
+    """The lane-packed sweep over whole neighbour arrays.
+
+    ``neighbor_arrays(frontier)`` returns each frontier node's live sorted
+    neighbours.  A single lane is a plain level-synchronous BFS
+    (concatenate, keep the unvisited, ``np.unique``).  Wider batches OR each
+    frontier node's ``uint64`` lane mask into its neighbours with
+    ``np.bitwise_or.at``; the lanes a node gains are exactly the searches
+    that discover it at this depth.  This mirrors the sharded executor's
+    superstep sweeps, and levels are distance-determined, so every lane
+    equals :func:`msbfs` on any other engine.
+    """
+    lanes = len(batch)
+    lane_levels = np.full((lanes, num_nodes), UNREACHED, dtype=np.int64)
+    lane_levels[np.arange(lanes), batch] = 0
+    frontier = np.unique(np.asarray(batch, dtype=np.int64))
+    depth = 0
+    if lanes == 1:
+        levels = lane_levels[0]
+        while len(frontier):
+            depth += 1
+            candidates = np.unique(np.concatenate(neighbor_arrays(frontier)))
+            frontier = candidates[levels[candidates] == UNREACHED]
+            levels[frontier] = depth
+    else:
+        lane_bits = np.uint64(1) << np.arange(lanes, dtype=np.uint64)
+        seen = np.zeros(num_nodes, dtype=np.uint64)
+        np.bitwise_or.at(seen, np.asarray(batch, dtype=np.int64), lane_bits)
+        masks = seen[frontier]
+        while len(frontier):
+            depth += 1
+            lists = neighbor_arrays(frontier)
+            counts = np.fromiter(
+                map(len, lists), dtype=np.int64, count=len(lists)
+            )
+            targets, inverse = np.unique(
+                np.concatenate(lists), return_inverse=True
+            )
+            reached = np.zeros(len(targets), dtype=np.uint64)
+            np.bitwise_or.at(reached, inverse, np.repeat(masks, counts))
+            gained = reached & ~seen[targets]
+            keep = gained != 0
+            frontier, masks = targets[keep], gained[keep]
+            seen[frontier] |= masks
+            lane, position = np.nonzero(
+                (masks[None, :] & lane_bits[:, None]) != 0
+            )
+            lane_levels[lane, frontier[position]] = depth
+    return MSBFSResult(
+        sources=batch,
+        lane_levels=lane_levels,
+        lane_iterations=lane_iterations_from_levels(lane_levels),
+        sweeps=depth,
     )
 
 

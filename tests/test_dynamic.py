@@ -523,6 +523,121 @@ class TestEpochKeyedCache:
 # Undirected mirroring of directed updates
 # ---------------------------------------------------------------------------
 
+class TestNativeOverlayAccounting:
+    """Native serving reads the overlay exactly as the simulated engine
+    does: same side-stream bits, and per-node arrays dropped by epoch."""
+
+    @staticmethod
+    def _seeded_batches(graph: Graph, seed: int, rounds: int = 6):
+        rng = random.Random(seed)
+        n = graph.num_nodes
+        batches = []
+        for _ in range(rounds):
+            batch = []
+            for _ in range(12):
+                source = rng.randrange(n)
+                if rng.random() < 0.6:
+                    batch.append(EdgeUpdate.insert(source, rng.randrange(n)))
+                elif graph.neighbors(source):
+                    batch.append(EdgeUpdate.delete(
+                        source, rng.choice(graph.neighbors(source))
+                    ))
+            batches.append(batch)
+            graph = graph.with_edge_updates(batch)
+        return batches
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_bits_and_invalidation_match_simulated_engine(self, seed):
+        graph = power_law_graph(
+            160, avg_degree=8.0, exponent=2.0, max_degree_fraction=0.25,
+            hub_count=3, seed=seed,
+        )
+        sources = (0, 1, 77)
+        service = TraversalService()
+        entry = service.register_graph("g", graph)
+        cache = entry.plan_cache
+        # The same base encode and compaction policy the registry uses.
+        overlay = DeltaOverlay(
+            CGRGraph.from_adjacency(
+                graph.adjacency(), service.config.effective_cgr_config()
+            ),
+            policy=service.registry.compaction_policy,
+        )
+        simulated = GCGTEngine(overlay, plan_cache=DecodedAdjacencyCache())
+
+        for batch in self._seeded_batches(graph, seed):
+            resident = set(cache.cached_nodes())
+            invalidations = cache.invalidations
+            stats = service.apply_updates("g", batch)
+            assert overlay.apply(batch).touched_nodes == stats.touched_nodes
+            # Exactly the mutated nodes' arrays were dropped.
+            assert set(cache.cached_nodes()) == resident - stats.touched_nodes
+            assert cache.invalidations - invalidations == len(
+                resident & stats.touched_nodes
+            )
+
+            for source in sources:
+                [served] = service.submit([BFSQuery("g", source)])
+                expected = bfs(simulated.new_session(), source)
+                np.testing.assert_array_equal(
+                    served.value.levels, expected.levels
+                )
+                [warm] = service.submit([BFSQuery("g", source)])
+                assert warm.metrics.cache_misses == 0
+                assert warm.metrics.cache_hits > 0
+
+            native = entry.overlay
+            assert native.live_bits == overlay.live_bits
+            assert native.garbage_bits == overlay.garbage_bits
+            assert native.bits_per_edge == overlay.bits_per_edge
+        assert overlay.stats().dirty_nodes > 0
+
+    def test_live_neighbors_match_merged_adjacency(self):
+        graph = chain_graph(30)
+        overlay = overlay_for(
+            graph, CompactionPolicy(min_delta=3, degree_fraction=0.0)
+        )
+        overlay.apply([
+            EdgeUpdate.insert(0, 25), EdgeUpdate.delete(0, 3),
+            EdgeUpdate.insert(4, 1), EdgeUpdate.insert(4, 2),
+            EdgeUpdate.insert(4, 9),  # reaches min_delta: node 4 compacts
+        ])
+        assert overlay.is_dirty(0) and not overlay.is_dirty(4)
+        assert overlay.stats().compacted_nodes == 1
+
+        def check() -> None:
+            for node in range(graph.num_nodes):
+                live = overlay.live_neighbors(node)
+                assert live.dtype == np.int32
+                assert live.tolist() == overlay.neighbors(node)
+
+        check()
+        # A delta over a compacted node's side-stream extent.
+        overlay.apply([EdgeUpdate.insert(4, 20), EdgeUpdate.delete(4, 1)])
+        assert overlay.is_dirty(4)
+        check()
+
+
+    def test_node_bit_ranges_cover_extent_and_insert_run(self):
+        graph = chain_graph(30)
+        overlay = overlay_for(graph, CompactionPolicy(min_delta=50))
+        base = overlay.base
+        assert overlay.node_bit_ranges(5) == [
+            (int(base.offsets[5]), base.node_bit_length(5))
+        ]
+        overlay.apply([EdgeUpdate.insert(5, 20), EdgeUpdate.delete(6, 7)])
+        overlay.live_neighbors(5)  # encodes the insert run on read
+        extent, run = overlay.node_bit_ranges(5)
+        assert extent == (int(base.offsets[5]), base.node_bit_length(5))
+        start, length = run
+        assert start >= base.total_bits and length > 0
+        assert start + length <= overlay.total_bits
+        # A tombstone-only delta adds no bits to read.
+        assert overlay.node_bit_ranges(6) == [
+            (int(base.offsets[6]), base.node_bit_length(6))
+        ]
+
+
 class TestUndirectedMirror:
     def test_delete_respects_surviving_reverse_edge(self):
         # 0 <-> 1 both directions; deleting one direction must keep the

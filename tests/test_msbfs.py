@@ -17,7 +17,12 @@ import pytest
 
 from repro.apps.bfs import bfs
 from repro.dynamic.updates import EdgeUpdate
-from repro.service import BFSQuery, CCQuery, TraversalService
+from repro.service import (
+    BFSQuery,
+    CCQuery,
+    DecodedAdjacencyCache,
+    TraversalService,
+)
 from repro.shard.executor import ShardExecutor
 from repro.shard.sharded import ShardedCGRGraph
 from repro.traversal.gcgt import GCGTEngine, STRATEGY_LADDER
@@ -143,6 +148,50 @@ class TestShardedDifferential:
 # Service routing: grouping, lane spill, per-lane metrics, epoch pinning
 # ---------------------------------------------------------------------------
 
+class TestNativeSweep:
+    """The served (native) sweep against the generic pipeline sweep."""
+
+    def test_matches_generic_sweep_including_duplicate_lanes(self, web_graph):
+        entry = TraversalService().register_graph("web", web_graph)
+        sources = (5, 5, 9, 0, 399, 5)
+        native = entry.frontier_engine().msbfs(sources)
+        generic = msbfs(GCGTEngine.from_graph(web_graph), sources)
+        np.testing.assert_array_equal(native.lane_levels, generic.lane_levels)
+        assert native.lane_iterations == generic.lane_iterations
+        assert native.sweeps == generic.sweeps
+        assert native.sources == generic.sources
+
+    def test_single_lane_sweep_is_a_plain_bfs(self, web_graph):
+        session = TraversalService().register_graph(
+            "web", web_graph
+        ).frontier_engine()
+        engine = GCGTEngine.from_graph(web_graph)
+        for source in (0, 9, 399):
+            native = msbfs(session, [source])
+            generic = msbfs(engine, [source])
+            np.testing.assert_array_equal(
+                native.lane_levels, generic.lane_levels
+            )
+            assert native.lane_iterations == generic.lane_iterations
+            assert native.sweeps == generic.sweeps
+            served, expected = bfs(session, source), bfs(engine, source)
+            np.testing.assert_array_equal(served.levels, expected.levels)
+            assert served.iterations == expected.iterations
+
+    def test_validation_errors(self, web_graph):
+        session = TraversalService().register_graph(
+            "web", web_graph
+        ).frontier_engine()
+        with pytest.raises(ValueError):
+            session.msbfs([])
+        with pytest.raises(ValueError):
+            session.msbfs(list(range(LANE_WIDTH + 1)))
+        with pytest.raises(IndexError):
+            session.msbfs([0, web_graph.num_nodes])
+        with pytest.raises(IndexError):
+            session.bfs(-1)
+
+
 class TestServiceBatching:
     @pytest.fixture()
     def service(self, web_graph):
@@ -200,8 +249,23 @@ class TestServiceBatching:
             stats_after.cache_miss_decode_ns - stats_before.cache_miss_decode_ns
         )
         assert all(r.metrics.encode_calls == 0 for r in results)
-        costs = [r.metrics.cost for r in results]
-        assert costs == [pytest.approx(costs[0])] * len(costs)
+        # Served natively: no simulated cost to attribute.
+        assert all(
+            r.metrics.cost == r.metrics.elapsed_proxy == 0.0 for r in results
+        )
+
+    def test_packed_sweep_simulated_cost_on_engine_session(self, web_graph):
+        # The simulated engine still models the shared sweep: one session
+        # accumulates the whole batch's cost, and the sweep decodes each
+        # adjacency list once for every lane (cache misses = touched nodes).
+        cache = DecodedAdjacencyCache()
+        engine = GCGTEngine.from_graph(web_graph, plan_cache=cache)
+        session = engine.new_session()
+        sweep = msbfs(session, [0, 9, 44, 150])
+        assert session.cost() > 0
+        assert engine.device.elapsed_proxy(session.metrics) > 0
+        reached = int((sweep.lane_levels >= 0).any(axis=0).sum())
+        assert cache.misses == reached
 
     def test_batched_answers_equal_individual_answers(self, web_graph):
         sources = (0, 9, 44, 150, 399)

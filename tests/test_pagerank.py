@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.pagerank import personalized_pagerank, reference_pagerank
+from repro.baselines.cpu import NaiveCPUEngine
 from repro.baselines.gpucsr import GPUCSREngine
 from repro.graph.graph import Graph
 from repro.traversal.gcgt import GCGTEngine
@@ -60,6 +61,31 @@ class TestPersonalizedPageRank:
         engine = GCGTEngine.from_graph(strongly_connected_graph)
         result = personalized_pagerank(engine, source=0, epsilon=1e-3)
         assert result.estimates[0] > 0
+
+    def test_measured_degrees_do_not_leak_across_engines(self):
+        """Regression: degrees measured without ``degrees=`` were cached
+        per ``id(engine)`` for the life of the process, so a later engine
+        over another graph that reused a freed id got stale degrees."""
+        graphs = [
+            Graph([[1, 2, 3], [0], [0], [0]]),
+            Graph([[1], [2, 3], [0], [0]]),
+        ]
+        expected = [
+            personalized_pagerank(
+                NaiveCPUEngine(graph), 0, epsilon=1e-6, degrees=graph.degrees()
+            ).estimates
+            for graph in graphs
+        ]
+        wrong = 0
+        for call in range(50):
+            index = call % 2
+            # A fresh engine per call, dropped straight after: CPython
+            # readily hands the next one the same id.
+            result = personalized_pagerank(
+                NaiveCPUEngine(graphs[index]), 0, epsilon=1e-6
+            )
+            wrong += not np.array_equal(result.estimates, expected[index])
+        assert wrong == 0
 
     def test_gcgt_and_csr_engines_agree(self, strongly_connected_graph):
         graph = strongly_connected_graph

@@ -607,6 +607,41 @@ class TestFrontDoorDegradation:
         door.close()
         service.close()
 
+    def test_requests_that_waited_through_shedding_serve_stale(self):
+        service = TraversalService()
+        service.register_graph(
+            "g", web_locality_graph(150, avg_degree=6.0, seed=3)
+        )
+        service.register_view("cc-view", "g", "cc")
+        gated = _GatedService(service)
+        door = FrontDoor(gated, queue_capacity=2, degraded_staleness=2)
+        door.register_tenant("t")
+        try:
+            gated.gate.clear()
+            head = door.submit("t", CCQuery("g"))
+            assert _wait_until(lambda: door.admission.depth() == 0)
+            queued = [
+                door.submit("t", CCQuery("g"), deadline=30.0)
+                for _ in range(2)
+            ]
+            shed = door.submit("t", CCQuery("g"))
+            assert shed.response().status == "rejected"
+            gated.gate.set()
+            # The head was already running when the door shed; the queued
+            # requests waited through the overload and get the view, with
+            # their budgets nowhere near a predicted miss.
+            assert not head.response(timeout=30).degraded
+            for ticket in queued:
+                response = ticket.response(timeout=30)
+                assert response.ok and response.degraded
+            # Arrivals after the last shed run fresh again.
+            later = door.call("t", CCQuery("g"), deadline=30.0, timeout=30)
+            assert later.ok and not later.degraded
+        finally:
+            gated.gate.set()
+            door.close(timeout=5.0)
+            service.close()
+
     def test_cc_and_pagerank_queries_match_their_views(self, degradable):
         door, service = degradable
         door._exec_ema["CCQuery"] = 100.0

@@ -260,9 +260,24 @@ class TestCacheBehaviourThroughService:
         assert warm.metrics.cache_misses == 0
         assert warm.metrics.cache_hits > 0
         assert warm.metrics.cache_hit_rate == 1.0
-        # Identical traversals cost the same whether plans were cached or
-        # not: the cache saves host time, never simulated work.
-        assert warm.metrics.cost == cold.metrics.cost
+        # Served natively: no simulated cost, cold or warm.
+        for result in (cold, warm):
+            assert result.metrics.cost == result.metrics.elapsed_proxy == 0.0
+
+    def test_cold_then_warm_engine_sessions_cost_the_same(self, three_graphs):
+        # On the simulated engine, identical traversals cost the same
+        # whether plans were cached or not: the plan cache saves host time,
+        # never simulated work.
+        cache = DecodedAdjacencyCache()
+        engine = GCGTEngine.from_graph(three_graphs["web"], plan_cache=cache)
+        cold = engine.new_session()
+        bfs(cold, 0)
+        misses = cache.misses
+        warm = engine.new_session()
+        bfs(warm, 0)
+        assert misses > 0 and cache.misses == misses
+        assert cold.cost() > 0
+        assert warm.cost() == cold.cost()
 
     def test_second_batch_is_fully_warm(self, three_graphs):
         service = TraversalService()
@@ -288,13 +303,56 @@ class TestCacheBehaviourThroughService:
         np.testing.assert_array_equal(result.value.levels, reference.levels)
 
     def test_sessions_do_not_share_metrics(self, three_graphs):
+        engine = GCGTEngine.from_graph(
+            three_graphs["web"], plan_cache=DecodedAdjacencyCache()
+        )
+        s1, s2 = engine.new_session(), engine.new_session()
+        bfs(s1, 0)
+        bfs(s2, 0)
+        # Each session's cost is its own, not an accumulation.
+        assert s1.cost() > 0
+        assert s1.cost() == s2.cost()
+        # The engine's default session stayed untouched.
+        assert engine.metrics.instruction_rounds == 0
+
+    def test_serving_never_touches_the_simulated_engine(self, three_graphs):
         service = TraversalService()
         entry = service.register_graph("web", three_graphs["web"])
-        r1, r2 = service.submit([BFSQuery("web", 0), BFSQuery("web", 0)])
-        # Each query's cost is its own, not an accumulation.
-        assert r1.metrics.cost == pytest.approx(r2.metrics.cost)
-        # The resident engine's default session stayed untouched.
+        results = service.submit([
+            BFSQuery("web", 0), BFSQuery("web", 3), BCQuery("web", 0),
+        ])
+        for result in results:
+            assert result.metrics.cost == result.metrics.elapsed_proxy == 0.0
         assert entry.engine.metrics.instruction_rounds == 0
+        assert len(entry.engine.plan_cache) == 0
+
+    def test_cache_misses_report_compressed_memory_traffic(self, three_graphs):
+        graph = three_graphs["web"]
+        service = TraversalService()
+        service.register_graph("web", graph)
+        service.register_graph("split", graph, shards=2,
+                               executor_backend="inline")
+        [cold] = service.submit([BFSQuery("web", 0)])
+        [warm] = service.submit([BFSQuery("web", 0)])
+        [sharded] = service.submit([BFSQuery("split", 0)])
+        assert cold.metrics.cache_misses > 0
+        assert cold.metrics.memory_transactions > 0
+        assert warm.metrics.memory_transactions == 0
+        assert sharded.metrics.memory_transactions == 0
+        service.close()
+
+    def test_batched_memory_traffic_splits_across_lanes(self, three_graphs):
+        service = TraversalService()
+        entry = service.register_graph("web", three_graphs["web"])
+        engine = entry.frontier_engine()
+        engine.msbfs([0, 3, 7])
+        expected = engine.metrics.memory_transactions
+        entry.plan_cache.clear()
+        results = service.submit(
+            [BFSQuery("web", 0), BFSQuery("web", 3), BFSQuery("web", 7)]
+        )
+        assert expected > 0
+        assert sum(r.metrics.memory_transactions for r in results) == expected
 
     def test_cache_miss_decode_ns_attributed_per_query(self, three_graphs):
         # Separate batches: one submit batch would share a single MS-BFS

@@ -32,6 +32,9 @@ from repro import (
     PageRankQuery,
     TraversalService,
 )
+from repro.apps.bc import betweenness_centrality
+from repro.apps.bfs import bfs
+from repro.apps.pagerank import personalized_pagerank
 from repro.compression.bitarray import PackedBits
 from repro.compression.cgr import CGRConfig, CGRGraph, encode_call_count
 from repro.dynamic.overlay import DeltaOverlay
@@ -462,10 +465,13 @@ def _submit_all(service: TraversalService, name: str):
 def _assert_metrics_identical(before, after, skip_cost_kinds=("cc",)):
     """Answers must match exactly; costs too, where state is bit-restored.
 
-    CC runs on the lazily rebuilt undirected sibling: a fresh symmetrised
-    encode of the merged topology rather than the original sibling's
-    base+overlay state, so its answers are guaranteed identical but its
-    stream layout (and hence simulated cost) legitimately differs.
+    Served costs are simulated on sharded entries and ``0.0`` on natively
+    served unsharded ones, whose simulated costs
+    :func:`_simulated_costs` compares instead.  CC runs on the lazily
+    rebuilt undirected sibling: a fresh symmetrised encode of the merged
+    topology rather than the original sibling's base+overlay state, so its
+    answers are guaranteed identical but its stream layout (and hence
+    simulated cost) legitimately differs.
     """
     for b, a in zip(before, after):
         assert b.kind == a.kind
@@ -484,6 +490,30 @@ def _assert_metrics_identical(before, after, skip_cost_kinds=("cc",)):
             assert b.metrics.cost == a.metrics.cost
             assert b.metrics.elapsed_proxy == a.metrics.elapsed_proxy
             assert b.metrics.iterations == a.metrics.iterations
+
+
+def _simulated_costs(service: TraversalService, name: str):
+    """(cost, elapsed proxy) of BFS, BC and PageRank on fresh sessions of
+    an unsharded entry's simulated engine, which reads the very overlay the
+    service serves from -- so a bit-exact restore reproduces them."""
+    entry = service.registry.resolve(name)
+    engine = entry.engine
+    assert engine.plan_cache is not None
+    degrees = entry.graph.degrees()
+    runs = (
+        lambda session: bfs(session, 0),
+        lambda session: betweenness_centrality(session, 3),
+        lambda session: personalized_pagerank(session, 5, degrees=degrees),
+    )
+    costs = []
+    for run in runs:
+        session = engine.new_session()
+        run(session)
+        costs.append(
+            (session.cost(), engine.device.elapsed_proxy(session.metrics))
+        )
+    assert all(cost > 0 for cost, _ in costs)
+    return costs
 
 
 class TestServiceSnapshotRestore:
@@ -513,6 +543,13 @@ class TestServiceSnapshotRestore:
 
         after = _submit_all(restarted, "g")
         _assert_metrics_identical(before, after)
+        # Served natively; the simulated costs come from the engines.
+        assert all(
+            r.metrics.cost == r.metrics.elapsed_proxy == 0.0 for r in after
+        )
+        assert _simulated_costs(service, "g") == _simulated_costs(
+            restarted, "g"
+        )
 
     def test_restore_without_updates(self, dense_graph, tmp_path):
         service = TraversalService()
@@ -522,6 +559,9 @@ class TestServiceSnapshotRestore:
         restarted = TraversalService()
         restarted.load_graph(tmp_path / "snap")
         _assert_metrics_identical(before, _submit_all(restarted, "g"))
+        assert _simulated_costs(service, "g") == _simulated_costs(
+            restarted, "g"
+        )
 
     def test_restored_entry_keeps_serving_updates(self, web_graph, tmp_path):
         service = TraversalService()
@@ -537,6 +577,9 @@ class TestServiceSnapshotRestore:
         restarted.apply_updates("g", batch)
         _assert_metrics_identical(
             _submit_all(service, "g"), _submit_all(restarted, "g")
+        )
+        assert _simulated_costs(service, "g") == _simulated_costs(
+            restarted, "g"
         )
 
     def test_epoch_time_travel(self, web_graph, tmp_path):
@@ -663,6 +706,8 @@ class TestShardedSnapshotRestore:
 
         after = _submit_all(restarted, "g")
         _assert_metrics_identical(before, after)
+        # Sharded entries are still simulated, superstep by superstep.
+        assert all(r.metrics.cost > 0 for r in after)
         service.close()
         restarted.close()
 
