@@ -29,7 +29,7 @@ it depends on, in pure Python:
   queries without ever re-encoding;
 * :mod:`repro.shard` -- sharded graph partitions (hash/range/greedy
   edge-cut partitioners) and a scatter-gather superstep executor that runs
-  any frontier application across per-shard engines -- inline, thread- or
+  any frontier application across per-shard engines -- inline or
   process-backed -- with results independent of the partitioning and shard
   count (BFS/CC bit-identical to the unsharded engine, float apps
   canonical-order exact);

@@ -306,8 +306,12 @@ class GraphRegistry:
         ``"greedy"``, or ``None`` for the hash default), each shard is
         encoded independently, and the entry serves queries through a
         :class:`~repro.shard.executor.ShardExecutor` on
-        ``executor_backend`` (``"inline"``, ``"thread"`` or ``"process"``).
+        ``executor_backend`` (``"inline"`` or ``"process"``).  Any other
+        backend raises :class:`ValueError` before anything is encoded.
         """
+        from repro.shard.executor import check_backend
+
+        check_backend(executor_backend)
         config = config or self.default_config
         key = (name, config)
         entry = self._entries.get(key)
@@ -752,8 +756,10 @@ class GraphRegistry:
         ``encode_calls`` does not move, which is the whole point.  Raises
         :class:`~repro.store.StoreError` if that ``(name, config)`` key is
         already resident (use a fresh registry, or :meth:`replace` for new
-        data).
+        data).  An unknown ``executor_backend`` raises :class:`ValueError`
+        before anything is read.
         """
+        from repro.shard.executor import check_backend
         from repro.store.format import StoreError
         from repro.store.snapshot import (
             engine_config_from_dict,
@@ -762,8 +768,10 @@ class GraphRegistry:
             restore_entry,
         )
 
-        # Check the key against the manifest *before* loading anything, so a
-        # conflicting restore never builds (and leaks) engines or executors.
+        # Check the backend and the key against the manifest *before* loading
+        # anything, so a rejected restore never builds (and leaks) engines or
+        # executors.
+        check_backend(executor_backend)
         manifest_path = resolve_manifest_path(location)
         manifest = read_manifest(manifest_path)
         key = (manifest["name"], engine_config_from_dict(manifest["engine_config"]))

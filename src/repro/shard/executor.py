@@ -29,17 +29,19 @@ one **superstep** of a bulk-synchronous computation.
   :attr:`~repro.service.queries.QueryMetrics.shard_fanout` /
   :attr:`~repro.service.queries.QueryMetrics.exchange_volume`.
 
-Three backends share this protocol:
+Each shard's resident state -- engine, overlay, plan cache and traversal
+scratch -- lives in one ``_ShardWorker``, whose methods are the shard side
+of every superstep.  Two backends decide where the workers live, and
+``ShardExecutor._on_shards`` is the only code that knows which:
 
-* ``"inline"`` (default) -- shards expand sequentially in-process; no
-  concurrency overhead, deterministic, the serving default.
-* ``"thread"`` -- a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-  dispatches one task per touched shard.
-* ``"process"`` -- one single-worker process pool per shard; each worker
-  holds its shard's engine resident (encoded once at pool start) and absorbs
-  update batches in place, so supersteps only ship frontier ids in and
-  neighbour lists out.  This is the backend the shard-throughput benchmark
-  gates, since it escapes the interpreter lock.
+* ``"inline"`` (default) -- the coordinator holds every worker and runs
+  the touched shards in turn; no concurrency overhead, deterministic, the
+  serving default.
+* ``"process"`` -- one single-worker process pool per shard, whose
+  initializer encodes the shard and builds its worker there; the worker
+  stays resident and absorbs update batches in place, so supersteps only
+  ship frontier ids in and neighbour lists out, and shards escape the
+  interpreter lock.
 
 Every shard reads through its own :class:`~repro.dynamic.DeltaOverlay`, so
 :meth:`ShardExecutor.apply_updates` routes an update batch to owner shards
@@ -50,7 +52,7 @@ dynamic path.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable
@@ -58,7 +60,7 @@ from typing import Callable
 import numpy as np
 
 from repro.apps.bfs import BFSResult, UNREACHED
-from repro.obs.trace import NOOP_TRACER
+from repro.obs.trace import NOOP_TRACER, NULL_SPAN
 from repro.compression.cgr import CGRGraph, UNCOMPRESSED_BITS_PER_EDGE
 from repro.dynamic.compaction import CompactionPolicy
 from repro.dynamic.overlay import DeltaOverlay
@@ -76,14 +78,22 @@ from repro.traversal.msbfs import (
 )
 
 #: Supported execution backends.
-BACKENDS = ("inline", "thread", "process")
+BACKENDS = ("inline", "process")
+
+
+def check_backend(backend: str) -> None:
+    """Raise :class:`ValueError` unless ``backend`` is one of :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+        )
 
 
 class ShardWorkerError(RuntimeError):
     """A shard's worker process died mid-operation (process backend).
 
     Raised instead of the opaque :class:`~concurrent.futures.process.
-    BrokenProcessPool` wherever the executor resolves worker futures, so a
+    BrokenProcessPool` wherever the executor dispatches to workers, so a
     crashed worker (OOM-killed, segfaulted, interpreter torn down) fails the
     in-flight superstep **fast and loud** with the shard named, rather than
     hanging the coordinator or surfacing as an unrelated pool error several
@@ -117,154 +127,217 @@ class ShardCounters:
     elapsed_proxy: float
 
 
-def _expand_collect(
-    engine: GCGTEngine, nodes: list[int]
-) -> tuple[dict[int, list[int]], KernelMetrics]:
-    """One shard's scatter: expand ``nodes``, collect neighbours per source.
+class _ShardWorker:
+    """One shard's resident state and the shard side of every superstep.
 
-    The collecting filter admits nothing (frontier management happens at the
-    gather), so the expansion charges exactly the decode/traversal work the
-    shard's engine would do anyway.  Tombstone suppression of the shard's
-    overlay still runs ahead of the collector, so deleted edges never leave
-    the shard.
+    Owns the shard's :class:`~repro.dynamic.DeltaOverlay`, its
+    :class:`~repro.service.cache.DecodedAdjacencyCache`, the
+    :class:`~repro.traversal.gcgt.GCGTEngine` reading through both, and the
+    scratch arrays of the in-progress BFS / MS-BFS.  The inline backend
+    holds one per shard in the coordinator; on the process backend each
+    shard's worker process builds one at start-up
+    (:func:`_process_worker_init`).  Either way :class:`ShardExecutor`
+    reaches a worker only through :meth:`ShardExecutor._on_shards`.
     """
-    unique = list(dict.fromkeys(nodes))
-    collected: dict[int, set[int]] = {node: set() for node in unique}
 
-    def collect(source: int, neighbor: int) -> bool:
-        collected[source].add(neighbor)
-        return False
-
-    session = engine.new_session()
-    session.expand(unique, collect)
-    return (
-        {node: sorted(neighbors) for node, neighbors in collected.items()},
-        session.metrics,
-    )
-
-
-def _bfs_step(
-    engine: GCGTEngine,
-    levels: np.ndarray,
-    candidates: np.ndarray,
-    level: int,
-) -> tuple[np.ndarray, int, KernelMetrics | None]:
-    """One shard's BFS superstep: admit shard-side, expand, emit candidates.
-
-    ``candidates`` are globally deduplicated node ids owned by this shard
-    that some shard discovered last superstep.  Unvisited ones are admitted
-    at ``level`` and expanded through the shard engine; the returned array
-    holds the deduplicated neighbour ids to exchange, with targets this
-    shard already knows are visited filtered out locally (they are owned
-    here, so no other shard needs them).
-
-    Running the admission *inside* the shard is what makes sharded BFS
-    scale: the exchange carries at most one message per discovered node,
-    not one per decoded edge, and the coordinator never replays the filter.
-    Levels are distance-determined, so the result is bit-identical to the
-    frontier-order admission of the unsharded engine.
-    """
-    admitted = candidates[levels[candidates] == UNREACHED]
-    levels[admitted] = level
-    if len(admitted) == 0:
-        return np.empty(0, dtype=np.int64), 0, None
-
-    out: list[int] = []
-
-    def collect(source: int, neighbor: int) -> bool:
-        out.append(neighbor)
-        return False
-
-    session = engine.new_session()
-    session.expand([int(node) for node in admitted], collect)
-    if not out:
-        return np.empty(0, dtype=np.int64), len(admitted), session.metrics
-    targets = np.unique(np.asarray(out, dtype=np.int64))
-    # Owned-and-visited targets can be pruned here; remote targets are the
-    # owning shard's call next superstep.
-    targets = targets[levels[targets] == UNREACHED]
-    return targets, len(admitted), session.metrics
-
-
-def _msbfs_step(
-    engine: GCGTEngine,
-    seen: np.ndarray,
-    lane_levels: np.ndarray,
-    nodes: np.ndarray,
-    masks: np.ndarray,
-    depth: int,
-) -> tuple[np.ndarray, np.ndarray, int, KernelMetrics | None]:
-    """One shard's MS-BFS superstep: admit lanes shard-side, expand, emit masks.
-
-    The lane-packed analogue of :func:`_bfs_step`: ``nodes``/``masks`` are
-    globally merged candidate ids owned by this shard with the uint64 lane
-    masks that discovered them last superstep.  Lanes this shard has not yet
-    seen for a node are admitted at ``depth`` and recorded per lane; admitted
-    nodes are expanded **once** through the shard engine -- one adjacency
-    decode serves every packed search -- and each decoded neighbour
-    accumulates the union of its discoverers' admitted masks.  Locally-owned
-    lanes already seen are pruned before the exchange, so a message carries
-    only lanes its target might still need.
-
-    Levels are distance-determined per lane, so the merged result is
-    bit-identical to 64 sequential ``bfs()`` runs, whatever the sharding.
-    """
-    gained = masks & ~seen[nodes]
-    live = gained != 0
-    admitted = nodes[live]
-    admitted_masks = gained[live]
-    if len(admitted) == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.uint64),
-            0,
-            None,
+    def __init__(
+        self,
+        overlay: DeltaOverlay,
+        device: GPUDevice,
+        config: GCGTConfig,
+        plan_cache: DecodedAdjacencyCache,
+    ) -> None:
+        self.overlay = overlay
+        self.plan_cache = plan_cache
+        self.engine = GCGTEngine(
+            overlay, device=device, config=config, plan_cache=plan_cache
         )
-    seen[admitted] |= admitted_masks
-    for lane in range(lane_levels.shape[0]):
-        hit = admitted[(admitted_masks & np.uint64(1 << lane)) != 0]
-        if len(hit):
-            lane_levels[lane, hit] = depth
+        self._levels: np.ndarray | None = None
+        self._seen: np.ndarray | None = None
+        self._lane_levels: np.ndarray | None = None
 
-    mask_of = {
-        int(node): int(mask)
-        for node, mask in zip(admitted, admitted_masks)
-    }
-    out: dict[int, int] = {}
+    def expand_collect(
+        self, nodes: list[int]
+    ) -> tuple[dict[int, list[int]], KernelMetrics]:
+        """Scatter: expand ``nodes``, collect the neighbours per source.
 
-    def collect(source: int, neighbor: int) -> bool:
-        out[neighbor] = out.get(neighbor, 0) | mask_of[source]
-        return False
+        The collecting filter admits nothing (frontier management happens at
+        the gather), so the expansion charges exactly the decode/traversal
+        work the shard's engine would do anyway.  Tombstone suppression of
+        the shard's overlay still runs ahead of the collector, so deleted
+        edges never leave the shard.
+        """
+        unique = list(dict.fromkeys(nodes))
+        collected: dict[int, set[int]] = {node: set() for node in unique}
 
-    session = engine.new_session()
-    session.expand([int(node) for node in admitted], collect)
-    if not out:
+        def collect(source: int, neighbor: int) -> bool:
+            collected[source].add(neighbor)
+            return False
+
+        session = self.engine.new_session()
+        session.expand(unique, collect)
         return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.uint64),
-            len(admitted),
+            {node: sorted(neighbors) for node, neighbors in collected.items()},
             session.metrics,
         )
-    targets = np.fromiter(out.keys(), dtype=np.int64, count=len(out))
-    target_masks = np.fromiter(
-        out.values(), dtype=np.uint64, count=len(out)
-    )
-    order = np.argsort(targets)
-    targets = targets[order]
-    target_masks = target_masks[order]
-    # Lanes this shard already levelled can be pruned here; remote targets
-    # carry local zeros in ``seen``, so their masks pass through untouched.
-    target_masks = target_masks & ~seen[targets]
-    keep = target_masks != 0
-    return targets[keep], target_masks[keep], len(admitted), session.metrics
+
+    def bfs_reset(self) -> None:
+        """Start a fresh BFS: clear the per-node level array."""
+        self._levels = np.full(
+            self.overlay.num_nodes, UNREACHED, dtype=np.int64
+        )
+
+    def bfs_step(
+        self, candidates: np.ndarray, level: int
+    ) -> tuple[np.ndarray, int, KernelMetrics | None]:
+        """One BFS superstep: admit shard-side, expand, emit candidates.
+
+        ``candidates`` are globally deduplicated node ids owned by this shard
+        that some shard discovered last superstep.  Unvisited ones are
+        admitted at ``level`` and expanded through the shard engine; the
+        returned array holds the deduplicated neighbour ids to exchange,
+        with targets this shard already knows are visited filtered out
+        locally (they are owned here, so no other shard needs them).
+
+        Running the admission *inside* the shard is what makes sharded BFS
+        scale: the exchange carries at most one message per discovered
+        node, not one per decoded edge, and the coordinator never replays
+        the filter.  Levels are distance-determined, so the result is
+        bit-identical to the frontier-order admission of the unsharded
+        engine.
+        """
+        levels = self._levels
+        admitted = candidates[levels[candidates] == UNREACHED]
+        levels[admitted] = level
+        if len(admitted) == 0:
+            return np.empty(0, dtype=np.int64), 0, None
+
+        out: list[int] = []
+
+        def collect(source: int, neighbor: int) -> bool:
+            out.append(neighbor)
+            return False
+
+        session = self.engine.new_session()
+        session.expand([int(node) for node in admitted], collect)
+        if not out:
+            return np.empty(0, dtype=np.int64), len(admitted), session.metrics
+        targets = np.unique(np.asarray(out, dtype=np.int64))
+        # Owned-and-visited targets can be pruned here; remote targets are
+        # the owning shard's call next superstep.
+        targets = targets[levels[targets] == UNREACHED]
+        return targets, len(admitted), session.metrics
+
+    def bfs_levels(self) -> np.ndarray:
+        """The level array (authoritative for this shard's owned nodes)."""
+        return self._levels
+
+    def msbfs_reset(self, lanes: int) -> None:
+        """Start a fresh MS-BFS: clear the lane masks and level matrix."""
+        self._seen = np.zeros(self.overlay.num_nodes, dtype=np.uint64)
+        self._lane_levels = np.full(
+            (lanes, self.overlay.num_nodes), UNREACHED, dtype=np.int64
+        )
+
+    def msbfs_step(
+        self, nodes: np.ndarray, masks: np.ndarray, depth: int
+    ) -> tuple[np.ndarray, np.ndarray, int, KernelMetrics | None]:
+        """One MS-BFS superstep: admit lanes shard-side, expand, emit masks.
+
+        The lane-packed analogue of :meth:`bfs_step`: ``nodes``/``masks``
+        are globally merged candidate ids owned by this shard with the
+        uint64 lane masks that discovered them last superstep.  Lanes this
+        shard has not yet seen for a node are admitted at ``depth`` and
+        recorded per lane; admitted nodes are expanded **once** through the
+        shard engine -- one adjacency decode serves every packed search --
+        and each decoded neighbour accumulates the union of its
+        discoverers' admitted masks.  Locally-owned lanes already seen are
+        pruned before the exchange, so a message carries only lanes its
+        target might still need.
+
+        Levels are distance-determined per lane, so the merged result is
+        bit-identical to 64 sequential ``bfs()`` runs, whatever the
+        sharding.
+        """
+        seen = self._seen
+        gained = masks & ~seen[nodes]
+        live = gained != 0
+        admitted = nodes[live]
+        admitted_masks = gained[live]
+        if len(admitted) == 0:
+            return (
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.uint64),
+                0,
+                None,
+            )
+        seen[admitted] |= admitted_masks
+        lane_levels = self._lane_levels
+        for lane in range(lane_levels.shape[0]):
+            hit = admitted[(admitted_masks & np.uint64(1 << lane)) != 0]
+            if len(hit):
+                lane_levels[lane, hit] = depth
+
+        mask_of = {
+            int(node): int(mask)
+            for node, mask in zip(admitted, admitted_masks)
+        }
+        out: dict[int, int] = {}
+
+        def collect(source: int, neighbor: int) -> bool:
+            out[neighbor] = out.get(neighbor, 0) | mask_of[source]
+            return False
+
+        session = self.engine.new_session()
+        session.expand([int(node) for node in admitted], collect)
+        if not out:
+            return (
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.uint64),
+                len(admitted),
+                session.metrics,
+            )
+        targets = np.fromiter(out.keys(), dtype=np.int64, count=len(out))
+        target_masks = np.fromiter(
+            out.values(), dtype=np.uint64, count=len(out)
+        )
+        order = np.argsort(targets)
+        targets = targets[order]
+        target_masks = target_masks[order]
+        # Lanes this shard already levelled can be pruned here; remote
+        # targets carry local zeros in ``seen``, so their masks pass through
+        # untouched.
+        target_masks = target_masks & ~seen[targets]
+        keep = target_masks != 0
+        return targets[keep], target_masks[keep], len(admitted), session.metrics
+
+    def msbfs_levels(self) -> np.ndarray:
+        """The lane-level matrix (authoritative for owned node columns)."""
+        return self._lane_levels
+
+    def apply(self, batch: list[EdgeUpdate]) -> UpdateStats:
+        """Absorb an update sub-batch and drop the touched nodes' plans."""
+        stats = self.overlay.apply(batch)
+        for node in stats.touched_nodes:
+            self.plan_cache.invalidate(node)
+        return stats
+
+    def live_bits(self) -> int:
+        """Live bits of the shard overlay (side stream included)."""
+        return self.overlay.live_bits
+
+    def neighbors(self, nodes: list[int]) -> list[list[int]]:
+        """Each node's merged live adjacency, read off the overlay (no
+        simulated kernel runs)."""
+        return [self.overlay.neighbors(node) for node in nodes]
 
 
 # ---------------------------------------------------------------------------
-# Process-backend worker functions (module level so they pickle).
+# Process-backend entry points (module level so they pickle).
 # ---------------------------------------------------------------------------
 
-#: Per-process worker state: the shard's engine and overlay, built once.
-_WORKER_STATE: dict = {}
+#: The worker process's shard, built once by :func:`_process_worker_init`.
+_WORKER: _ShardWorker | None = None
 
 
 def _process_worker_init(
@@ -274,94 +347,25 @@ def _process_worker_init(
     device: GPUDevice,
     compaction_policy: CompactionPolicy,
 ) -> None:
-    """Build the shard's resident engine inside the worker process.
+    """Pool initializer: encode the shard and build its resident worker.
 
     The executor's device and compaction policy are shipped along so the
     worker's cost metrics and compaction behaviour match what the inline
-    and thread backends would produce from the same arguments.
+    backend produces from the same arguments.
     """
+    global _WORKER
     cgr = CGRGraph.from_adjacency(adjacency, config.effective_cgr_config())
-    overlay = DeltaOverlay(cgr, policy=compaction_policy)
-    cache = DecodedAdjacencyCache(cache_capacity)
-    engine = GCGTEngine(overlay, device=device, config=config, plan_cache=cache)
-    _WORKER_STATE["engine"] = engine
-    _WORKER_STATE["overlay"] = overlay
-
-
-def _process_worker_ping() -> bool:
-    """Confirm the worker finished initialisation (used to warm pools up)."""
-    return "engine" in _WORKER_STATE
-
-
-def _process_worker_expand(
-    nodes: list[int],
-) -> tuple[dict[int, list[int]], KernelMetrics]:
-    """Scatter task: expand ``nodes`` on the worker's resident shard engine."""
-    return _expand_collect(_WORKER_STATE["engine"], nodes)
-
-
-def _process_worker_apply(batch: list[EdgeUpdate]) -> UpdateStats:
-    """Absorb an update sub-batch into the worker's shard overlay."""
-    stats = _WORKER_STATE["overlay"].apply(batch)
-    cache = _WORKER_STATE["engine"].plan_cache
-    for node in stats.touched_nodes:
-        cache.invalidate(node)
-    return stats
-
-
-def _process_worker_live_bits() -> int:
-    """Live bits of the worker's shard overlay (side stream included)."""
-    return _WORKER_STATE["overlay"].live_bits
-
-
-def _process_worker_bfs_reset() -> None:
-    """Start a fresh BFS: clear the worker's per-node level array."""
-    overlay = _WORKER_STATE["overlay"]
-    _WORKER_STATE["bfs_levels"] = np.full(
-        overlay.num_nodes, UNREACHED, dtype=np.int64
+    _WORKER = _ShardWorker(
+        DeltaOverlay(cgr, policy=compaction_policy),
+        device,
+        config,
+        DecodedAdjacencyCache(cache_capacity),
     )
 
 
-def _process_worker_bfs_step(
-    candidates: np.ndarray, level: int
-) -> tuple[np.ndarray, int, KernelMetrics | None]:
-    """One BFS superstep on the worker's resident shard (see :func:`_bfs_step`)."""
-    return _bfs_step(
-        _WORKER_STATE["engine"], _WORKER_STATE["bfs_levels"], candidates, level
-    )
-
-
-def _process_worker_bfs_levels() -> np.ndarray:
-    """The worker's level array (authoritative for its owned nodes only)."""
-    return _WORKER_STATE["bfs_levels"]
-
-
-def _process_worker_msbfs_reset(lanes: int) -> None:
-    """Start a fresh MS-BFS: clear the worker's lane masks and level matrix."""
-    overlay = _WORKER_STATE["overlay"]
-    _WORKER_STATE["msbfs_seen"] = np.zeros(overlay.num_nodes, dtype=np.uint64)
-    _WORKER_STATE["msbfs_levels"] = np.full(
-        (lanes, overlay.num_nodes), UNREACHED, dtype=np.int64
-    )
-
-
-def _process_worker_msbfs_step(
-    nodes: np.ndarray, masks: np.ndarray, depth: int
-) -> tuple[np.ndarray, np.ndarray, int, KernelMetrics | None]:
-    """One MS-BFS superstep on the worker's shard (see :func:`_msbfs_step`)."""
-    return _msbfs_step(
-        _WORKER_STATE["engine"],
-        _WORKER_STATE["msbfs_seen"],
-        _WORKER_STATE["msbfs_levels"],
-        nodes,
-        masks,
-        depth,
-    )
-
-
-def _process_worker_msbfs_levels() -> np.ndarray:
-    """The worker's lane-level matrix (authoritative for owned nodes only)."""
-    return _WORKER_STATE["msbfs_levels"]
+def _process_worker_call(method: str, *args):
+    """Run ``method(*args)`` on the worker process's resident shard."""
+    return getattr(_WORKER, method)(*args)
 
 
 class ShardExecutor:
@@ -374,10 +378,7 @@ class ShardExecutor:
 
     Args:
         sharded: the partitioned, per-shard-encoded graph.
-        backend: ``"inline"``, ``"thread"`` or ``"process"`` (see module doc).
-        max_workers: thread-pool width for the ``"thread"`` backend
-            (defaults to the shard count); the ``"process"`` backend always
-            runs one dedicated worker per shard.
+        backend: ``"inline"`` or ``"process"`` (see module doc).
         device: simulated device shared by the shard engines (defaults to a
             fresh :class:`~repro.gpu.GPUDevice`).
         config: engine configuration applied to every shard (its encoding
@@ -389,8 +390,8 @@ class ShardExecutor:
             of the persistent store (:mod:`repro.store`), which rebuilds
             overlays with their snapshotted side streams, extents and
             pending deltas.  Each overlay must wrap the corresponding shard
-            of ``sharded``; only the ``inline`` and ``thread`` backends can
-            adopt overlays (process workers build their own state).
+            of ``sharded``; only the ``inline`` backend can adopt overlays
+            (process workers build their own state).
         initial_epoch: coordinator mutation epoch to start from (a restored
             executor resumes at the snapshot's epoch, so
             :attr:`~repro.service.queries.QueryMetrics.graph_epoch` stays
@@ -401,7 +402,6 @@ class ShardExecutor:
         self,
         sharded: ShardedCGRGraph,
         backend: str = "inline",
-        max_workers: int | None = None,
         device: GPUDevice | None = None,
         config: GCGTConfig | None = None,
         cache_capacity: int = 4096,
@@ -409,15 +409,12 @@ class ShardExecutor:
         overlays: list[DeltaOverlay] | None = None,
         initial_epoch: int = 0,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
+        check_backend(backend)
         if overlays is not None:
             if backend == "process":
                 raise ValueError(
-                    "restored overlays require the 'inline' or 'thread' "
-                    "backend; process workers build their own state"
+                    "restored overlays require the 'inline' backend; "
+                    "process workers build their own state"
                 )
             if len(overlays) != sharded.num_shards:
                 raise ValueError(
@@ -457,8 +454,7 @@ class ShardExecutor:
         #: same thing for every sharded registration.  (Per-shard overlays
         #: keep their own finer-grained epochs for plan-cache keying.)
         self._epoch = initial_epoch
-        #: Last known aggregate live bits; kept current so the process
-        #: backend can still report sizes after :meth:`close`.
+        #: Last observed aggregate live bits (see :meth:`live_bits`).
         self._final_live_bits = sharded.total_bits
         #: Simulated critical-path cost: per superstep, the *maximum* of the
         #: participating shards' costs (shards run concurrently, the barrier
@@ -488,21 +484,13 @@ class ShardExecutor:
         #: nothing.
         self.tracer = NOOP_TRACER
 
-        self.engines: list[GCGTEngine] = []
-        self.overlays: list[DeltaOverlay] = []
-        self.plan_caches: list[DecodedAdjacencyCache] = []
-        #: Per-shard level arrays of the in-progress/last BFS (inline/thread).
-        self._bfs_levels: list[np.ndarray] = []
-        #: Per-shard MS-BFS lane masks / lane-level matrices (inline/thread).
-        self._msbfs_seen: list[np.ndarray] = []
-        self._msbfs_levels: list[np.ndarray] = []
-        self._thread_pool: ThreadPoolExecutor | None = None
+        #: Inline backend: every shard's worker, in shard order.
+        self._workers: list[_ShardWorker] = []
+        #: Process backend: one single-worker pool per shard.
         self._process_pools: list[ProcessPoolExecutor] = []
-
         if backend == "process":
-            policy = compaction_policy or CompactionPolicy()
             for shard in range(sharded.num_shards):
-                pool = ProcessPoolExecutor(
+                self._process_pools.append(ProcessPoolExecutor(
                     max_workers=1,
                     initializer=_process_worker_init,
                     initargs=(
@@ -510,41 +498,33 @@ class ShardExecutor:
                         self.config,
                         cache_capacity,
                         self.device,
-                        policy,
+                        self.compaction_policy,
                     ),
-                )
-                self._process_pools.append(pool)
-            # Force worker start-up now so construction cost never leaks
-            # into superstep timings and init errors surface eagerly.
-            for shard, pool in enumerate(self._process_pools):
-                if not self._resolve(
-                    shard, pool.submit(_process_worker_ping)
-                ):
-                    raise RuntimeError("shard worker failed to initialise")
+                ))
         else:
-            policy = compaction_policy or CompactionPolicy()
             for index, shard_cgr in enumerate(sharded.shards):
                 if overlays is not None:
                     overlay = overlays[index]
                 else:
-                    overlay = DeltaOverlay(shard_cgr, policy=policy)
-                cache = DecodedAdjacencyCache(cache_capacity)
-                engine = GCGTEngine(
-                    overlay, device=self.device, config=self.config,
-                    plan_cache=cache,
-                )
-                self.overlays.append(overlay)
-                self.plan_caches.append(cache)
-                self.engines.append(engine)
+                    overlay = DeltaOverlay(
+                        shard_cgr, policy=self.compaction_policy
+                    )
+                self._workers.append(_ShardWorker(
+                    overlay, self.device, self.config,
+                    DecodedAdjacencyCache(cache_capacity),
+                ))
             if overlays is not None:
                 # Restored overlays may carry update state the base encodes
                 # predate; the live edge count is theirs, not the streams'.
-                self._num_edges = sum(o.num_edges for o in self.overlays)
-                self._final_live_bits = sum(o.live_bits for o in self.overlays)
-            if backend == "thread":
-                self._thread_pool = ThreadPoolExecutor(
-                    max_workers=max_workers or sharded.num_shards
-                )
+                self._num_edges = sum(o.num_edges for o in overlays)
+        # Reach every worker once now, so process start-up cost never leaks
+        # into superstep timings and start-up errors surface here.  A shard
+        # that fails to start takes the already-started pools down with it.
+        try:
+            self._refresh_live_bits()
+        except BaseException:
+            self.close()
+            raise
 
     # -- graph facts (FrontierEngine surface + registry needs) ----------------
 
@@ -568,30 +548,36 @@ class ShardExecutor:
         """Mutation epoch: effective update batches absorbed, any backend."""
         return self._epoch
 
+    @property
+    def engines(self) -> list[GCGTEngine]:
+        """Per-shard engines (inline backend; empty on process)."""
+        return [worker.engine for worker in self._workers]
+
+    @property
+    def overlays(self) -> list[DeltaOverlay]:
+        """Per-shard delta overlays (inline backend; empty on process)."""
+        return [worker.overlay for worker in self._workers]
+
+    @property
+    def plan_caches(self) -> list[DecodedAdjacencyCache]:
+        """Per-shard decoded-plan caches (inline backend; empty on process)."""
+        return [worker.plan_cache for worker in self._workers]
+
     def live_bits(self) -> int:
         """Live compressed bits across shards (base + overlay side streams).
 
-        After :meth:`close`, the process backend reports the last value
-        observed while its workers were alive (refreshed on every update
-        batch and at close), so monitoring paths like
-        :meth:`~repro.service.TraversalService.stats` keep working.
+        After :meth:`close`, reports the last value observed while the
+        workers were alive (refreshed on every read and at close), so
+        monitoring paths like :meth:`~repro.service.TraversalService.stats`
+        keep working once process pools are gone.
         """
-        if self.backend == "process":
-            if not self._closed:
-                self._refresh_live_bits()
-            return self._final_live_bits
-        return sum(overlay.live_bits for overlay in self.overlays)
+        if not self._closed:
+            self._refresh_live_bits()
+        return self._final_live_bits
 
     def _refresh_live_bits(self) -> None:
-        """Re-read the process workers' aggregate live-bit count."""
-        futures = [
-            pool.submit(_process_worker_live_bits)
-            for pool in self._process_pools
-        ]
-        self._final_live_bits = sum(
-            self._resolve(shard, future)
-            for shard, future in enumerate(futures)
-        )
+        """Re-read every worker's live-bit count."""
+        self._final_live_bits = sum(self._on_all("live_bits").values())
 
     @property
     def bits_per_edge(self) -> float:
@@ -607,26 +593,82 @@ class ShardExecutor:
             return float("nan")
         return UNCOMPRESSED_BITS_PER_EDGE / self.bits_per_edge
 
-    # -- worker-failure and cancellation plumbing ------------------------------
+    # -- dispatch, accounting and cancellation plumbing ------------------------
 
-    def _resolve(self, shard: int, future):
-        """Resolve one worker future, failing fast on a dead worker.
+    def _on_shards(self, method: str, args_by_shard: dict[int, tuple]) -> dict:
+        """Run ``_ShardWorker.<method>(*args)`` on each listed shard.
+
+        The one place that knows where a shard's worker lives.  Inline
+        workers run in turn; process workers get every call submitted before
+        any result is awaited, so the shards run concurrently.  Results come
+        back keyed by shard, in ``args_by_shard`` order.
 
         A :class:`~concurrent.futures.process.BrokenProcessPool` means the
-        shard's worker process is gone along with its resident engine;
-        re-raise it as :class:`ShardWorkerError` naming the shard so the
-        caller sees an actionable diagnosis instead of a generic pool
-        error (or, worse, a coordinator wedged on a pool that will never
-        answer again).
+        shard's worker process is gone along with its resident engine; it is
+        re-raised as :class:`ShardWorkerError` naming the shard, so the
+        caller sees an actionable diagnosis instead of a generic pool error
+        (or, worse, a coordinator wedged on a pool that will never answer).
         """
+        if self.backend == "inline":
+            return {
+                shard: getattr(self._workers[shard], method)(*args)
+                for shard, args in args_by_shard.items()
+            }
+        futures = {}
+        results = {}
+        shard = None
         try:
-            return future.result()
+            for shard, args in args_by_shard.items():
+                futures[shard] = self._process_pools[shard].submit(
+                    _process_worker_call, method, *args
+                )
+            for shard, future in futures.items():
+                results[shard] = future.result()
         except BrokenProcessPool as error:
             raise ShardWorkerError(
                 f"shard {shard} worker process died mid-operation "
                 f"({error}); the shard's resident state is lost -- "
                 "re-register or restore the graph to rebuild it"
             ) from error
+        return results
+
+    def _on_all(self, method: str, *args) -> dict:
+        """Run ``method(*args)`` on every shard (see :meth:`_on_shards`)."""
+        return self._on_shards(method, dict.fromkeys(range(self.num_shards), args))
+
+    def _gather_owned(self, method: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Merge per-shard level arrays, each authoritative for its owned
+        nodes (the last axis indexes nodes)."""
+        merged = np.full(shape, UNREACHED, dtype=np.int64)
+        per_shard = self._on_all(method)
+        for shard, owned in enumerate(self.partition.shard_nodes):
+            merged[..., owned] = per_shard[shard][..., owned]
+        return merged
+
+    def _charge(
+        self, metrics_by_shard: dict, span=NULL_SPAN, **annotations
+    ) -> None:
+        """Account one superstep's per-shard kernel metrics.
+
+        Every shard's work joins the total; only the slowest shard is
+        charged to the critical path.  A recording ``span`` is annotated
+        with the shards, their costs, the step's critical cost and
+        ``annotations``.
+        """
+        costs: dict[int, float] = {}
+        for shard, metrics in metrics_by_shard.items():
+            if metrics is not None:
+                self.kernel_metrics.merge(metrics)
+                costs[shard] = self.device.cost(metrics)
+        step = max(costs.values(), default=0.0)
+        self.critical_cost += step
+        if span.recording:
+            span.annotate(
+                shards=sorted(metrics_by_shard),
+                shard_costs=costs,
+                critical_cost=step,
+                **annotations,
+            )
 
     def _poll_checkpoint(self) -> None:
         """Run the installed cancellation checkpoint, if any (see
@@ -659,23 +701,14 @@ class ShardExecutor:
         with self.tracer.span(
             "superstep", op="expand", frontier=len(frontier)
         ) as span:
-            results = self._scatter(groups)
-            step_costs = []
-            shard_costs: dict[int, float] = {}
-            for shard, (collected, metrics) in results.items():
-                self.kernel_metrics.merge(metrics)
-                cost = self.device.cost(metrics)
-                step_costs.append(cost)
-                if span.recording:
-                    shard_costs[shard] = cost
-            if step_costs:
-                self.critical_cost += max(step_costs)
-            if span.recording:
-                span.annotate(
-                    shards=sorted(groups),
-                    shard_costs=shard_costs,
-                    critical_cost=max(step_costs) if step_costs else 0.0,
-                )
+            results = self._on_shards(
+                "expand_collect",
+                {shard: (nodes,) for shard, nodes in groups.items()},
+            )
+            self._charge(
+                {shard: metrics for shard, (_, metrics) in results.items()},
+                span,
+            )
 
             assignment = self.partition.assignment
             next_frontier: list[int] = []
@@ -692,34 +725,78 @@ class ShardExecutor:
                         next_frontier.append(neighbor)
             return next_frontier
 
-    def _scatter(self, groups: dict[int, list[int]]):
-        """Dispatch one expansion task per touched shard, backend-appropriately."""
-        if self.backend == "inline":
-            return {
-                shard: _expand_collect(self.engines[shard], nodes)
-                for shard, nodes in groups.items()
-            }
-        if self.backend == "thread":
-            assert self._thread_pool is not None
-            futures = {
-                shard: self._thread_pool.submit(
-                    _expand_collect, self.engines[shard], nodes
-                )
-                for shard, nodes in groups.items()
-            }
-        else:
-            futures = {
-                shard: self._process_pools[shard].submit(
-                    _process_worker_expand, nodes
-                )
-                for shard, nodes in groups.items()
-            }
-        return {
-            shard: self._resolve(shard, future)
-            for shard, future in futures.items()
-        }
+    # -- superstep-native BFS and MS-BFS ---------------------------------------
 
-    # -- superstep-native BFS --------------------------------------------------
+    def _sweep(
+        self,
+        method: str,
+        nodes: np.ndarray,
+        masks: np.ndarray | None,
+        op: str,
+        depth_name: str,
+        **span_attributes,
+    ) -> int:
+        """Run shard-side-admission supersteps until no candidates remain.
+
+        ``nodes`` are the first superstep's sorted candidate ids, with their
+        lane ``masks`` for MS-BFS (``None`` for BFS).  Each superstep routes
+        the candidates to their owners and calls the owners' worker
+        ``method`` with them and the superstep depth; the worker admits what
+        it has not seen, expands it, and returns its deduplicated targets
+        (and their masks), the admitted count and its kernel metrics.  The
+        targets -- masks OR'd per node -- are the next superstep's
+        candidates.  Returns how many supersteps admitted anything.
+        """
+        assignment = self.partition.assignment
+        depth = active = 0
+        while True:
+            self._poll_checkpoint()
+            self.supersteps += 1
+            owners = assignment[nodes]
+            args: dict[int, tuple] = {}
+            for shard in map(int, np.unique(owners)):
+                selected = owners == shard
+                owned = nodes[selected]
+                if masks is None:
+                    args[shard] = (owned, depth)
+                else:
+                    args[shard] = (owned, masks[selected], depth)
+                self.shard_touches[shard] += 1
+                self.exchange_volume += len(owned)
+            with self.tracer.span(
+                "superstep", op=op, **{depth_name: depth}, **span_attributes
+            ) as span:
+                results = self._on_shards(method, args)
+                gathered = []
+                for shard, result in results.items():
+                    targets = result[0]
+                    if len(targets):
+                        gathered.append(result[:-2])
+                        self.exchange_volume += len(targets)
+                        self.boundary_messages += int(
+                            (assignment[targets] != shard).sum()
+                        )
+                admitted = sum(result[-2] for result in results.values())
+                self._charge(
+                    {shard: result[-1] for shard, result in results.items()},
+                    span,
+                    admitted=admitted,
+                )
+            if admitted:
+                active += 1
+            if not gathered:
+                return active
+            depth += 1
+            nodes, inverse = np.unique(
+                np.concatenate([found[0] for found in gathered]),
+                return_inverse=True,
+            )
+            if masks is not None:
+                masks = np.zeros(len(nodes), dtype=np.uint64)
+                np.bitwise_or.at(
+                    masks, inverse,
+                    np.concatenate([found[1] for found in gathered]),
+                )
 
     def bfs(self, source: int) -> BFSResult:
         """Sharded BFS with shard-side admission and candidate exchange.
@@ -740,131 +817,16 @@ class ShardExecutor:
             raise IndexError(
                 f"source {source} out of range [0, {self.num_nodes})"
             )
-        assignment = self.partition.assignment
-        self._bfs_reset()
-        candidates: dict[int, np.ndarray] = {
-            int(assignment[source]): np.asarray([source], dtype=np.int64)
-        }
-        level = 0
-        iterations = 0
-        while candidates:
-            self._poll_checkpoint()
-            self.supersteps += 1
-            for shard, nodes in candidates.items():
-                self.shard_touches[shard] += 1
-                self.exchange_volume += len(nodes)
-            with self.tracer.span(
-                "superstep", op="bfs", level=level
-            ) as span:
-                results = self._bfs_dispatch(candidates, level)
-                total_admitted = 0
-                step_costs = [0.0]
-                shard_costs: dict[int, float] = {}
-                gathered: list[np.ndarray] = []
-                for shard, (targets, admitted, metrics) in results.items():
-                    total_admitted += admitted
-                    if metrics is not None:
-                        self.kernel_metrics.merge(metrics)
-                        cost = self.device.cost(metrics)
-                        step_costs.append(cost)
-                        if span.recording:
-                            shard_costs[shard] = cost
-                    if len(targets):
-                        gathered.append(targets)
-                        self.exchange_volume += len(targets)
-                        self.boundary_messages += int(
-                            (assignment[targets] != shard).sum()
-                        )
-                self.critical_cost += max(step_costs)
-                if span.recording:
-                    span.annotate(
-                        shards=sorted(candidates),
-                        shard_costs=shard_costs,
-                        critical_cost=max(step_costs),
-                        admitted=total_admitted,
-                    )
-            if total_admitted:
-                iterations += 1
-            candidates = {}
-            if gathered:
-                frontier = np.unique(np.concatenate(gathered))
-                owners = assignment[frontier]
-                for shard in np.unique(owners):
-                    candidates[int(shard)] = frontier[owners == shard]
-            level += 1
-        return BFSResult(
-            source=source, levels=self._bfs_collect_levels(), iterations=iterations
+        self._on_all("bfs_reset")
+        iterations = self._sweep(
+            "bfs_step", np.asarray([source], dtype=np.int64), None,
+            op="bfs", depth_name="level",
         )
-
-    def _bfs_reset(self) -> None:
-        """Clear per-shard BFS state before a fresh traversal."""
-        if self.backend == "process":
-            futures = [
-                pool.submit(_process_worker_bfs_reset)
-                for pool in self._process_pools
-            ]
-            for shard, future in enumerate(futures):
-                self._resolve(shard, future)
-        else:
-            self._bfs_levels = [
-                np.full(self.num_nodes, UNREACHED, dtype=np.int64)
-                for _ in range(self.num_shards)
-            ]
-
-    def _bfs_dispatch(
-        self, candidates: dict[int, np.ndarray], level: int
-    ) -> dict[int, tuple[np.ndarray, int, KernelMetrics | None]]:
-        """Run one BFS superstep on every shard with incoming candidates."""
-        if self.backend == "inline":
-            return {
-                shard: _bfs_step(
-                    self.engines[shard], self._bfs_levels[shard], nodes, level
-                )
-                for shard, nodes in candidates.items()
-            }
-        if self.backend == "thread":
-            assert self._thread_pool is not None
-            futures = {
-                shard: self._thread_pool.submit(
-                    _bfs_step,
-                    self.engines[shard],
-                    self._bfs_levels[shard],
-                    nodes,
-                    level,
-                )
-                for shard, nodes in candidates.items()
-            }
-        else:
-            futures = {
-                shard: self._process_pools[shard].submit(
-                    _process_worker_bfs_step, nodes, level
-                )
-                for shard, nodes in candidates.items()
-            }
-        return {
-            shard: self._resolve(shard, future)
-            for shard, future in futures.items()
-        }
-
-    def _bfs_collect_levels(self) -> np.ndarray:
-        """Merge per-shard level arrays, each authoritative for its owned nodes."""
-        levels = np.full(self.num_nodes, UNREACHED, dtype=np.int64)
-        if self.backend == "process":
-            futures = [
-                pool.submit(_process_worker_bfs_levels)
-                for pool in self._process_pools
-            ]
-            shard_levels = [
-                self._resolve(shard, future)
-                for shard, future in enumerate(futures)
-            ]
-        else:
-            shard_levels = self._bfs_levels
-        for shard, owned in enumerate(self.partition.shard_nodes):
-            levels[owned] = shard_levels[shard][owned]
-        return levels
-
-    # -- superstep-native multi-source BFS -------------------------------------
+        return BFSResult(
+            source=source,
+            levels=self._gather_owned("bfs_levels", (self.num_nodes,)),
+            iterations=iterations,
+        )
 
     def msbfs(self, sources) -> MSBFSResult:
         """Sharded lane-packed MS-BFS: one candidate exchange serves 64 lanes.
@@ -891,8 +853,7 @@ class ShardExecutor:
                 "width; split the batch into sweeps"
             )
         lanes = len(batch)
-        assignment = self.partition.assignment
-        self._msbfs_reset(lanes)
+        self._on_all("msbfs_reset", lanes)
 
         # Duplicate sources collapse to one candidate with an OR'd mask.
         source_masks: dict[int, int] = {}
@@ -904,163 +865,19 @@ class ShardExecutor:
         masks = np.asarray(
             [source_masks[int(node)] for node in nodes], dtype=np.uint64
         )
-        owners = assignment[nodes]
-        candidates: dict[int, tuple[np.ndarray, np.ndarray]] = {
-            int(shard): (nodes[owners == shard], masks[owners == shard])
-            for shard in np.unique(owners)
-        }
-
-        depth = 0
-        sweeps = 0
-        while candidates:
-            self._poll_checkpoint()
-            self.supersteps += 1
-            for shard, (shard_nodes, _) in candidates.items():
-                self.shard_touches[shard] += 1
-                self.exchange_volume += len(shard_nodes)
-            with self.tracer.span(
-                "superstep", op="msbfs", depth=depth, lanes=lanes
-            ) as span:
-                results = self._msbfs_dispatch(candidates, depth)
-                total_admitted = 0
-                step_costs = [0.0]
-                shard_costs: dict[int, float] = {}
-                gathered_nodes: list[np.ndarray] = []
-                gathered_masks: list[np.ndarray] = []
-                for shard, (targets, target_masks, admitted, metrics) in (
-                    results.items()
-                ):
-                    total_admitted += admitted
-                    if metrics is not None:
-                        self.kernel_metrics.merge(metrics)
-                        cost = self.device.cost(metrics)
-                        step_costs.append(cost)
-                        if span.recording:
-                            shard_costs[shard] = cost
-                    if len(targets):
-                        gathered_nodes.append(targets)
-                        gathered_masks.append(target_masks)
-                        self.exchange_volume += len(targets)
-                        self.boundary_messages += int(
-                            (assignment[targets] != shard).sum()
-                        )
-                self.critical_cost += max(step_costs)
-                if span.recording:
-                    span.annotate(
-                        shards=sorted(candidates),
-                        shard_costs=shard_costs,
-                        critical_cost=max(step_costs),
-                        admitted=total_admitted,
-                    )
-            if total_admitted:
-                sweeps += 1
-            candidates = {}
-            if gathered_nodes:
-                all_nodes = np.concatenate(gathered_nodes)
-                all_masks = np.concatenate(gathered_masks)
-                merged_nodes, inverse = np.unique(
-                    all_nodes, return_inverse=True
-                )
-                merged_masks = np.zeros(len(merged_nodes), dtype=np.uint64)
-                np.bitwise_or.at(merged_masks, inverse, all_masks)
-                owners = assignment[merged_nodes]
-                for shard in np.unique(owners):
-                    selected = owners == shard
-                    candidates[int(shard)] = (
-                        merged_nodes[selected], merged_masks[selected]
-                    )
-            depth += 1
-
-        lane_levels = self._msbfs_collect_levels(lanes)
+        sweeps = self._sweep(
+            "msbfs_step", nodes, masks,
+            op="msbfs", depth_name="depth", lanes=lanes,
+        )
+        lane_levels = self._gather_owned(
+            "msbfs_levels", (lanes, self.num_nodes)
+        )
         return MSBFSResult(
             sources=batch,
             lane_levels=lane_levels,
             lane_iterations=lane_iterations_from_levels(lane_levels),
             sweeps=sweeps,
         )
-
-    def _msbfs_reset(self, lanes: int) -> None:
-        """Clear per-shard MS-BFS state before a fresh lane-packed traversal."""
-        if self.backend == "process":
-            futures = [
-                pool.submit(_process_worker_msbfs_reset, lanes)
-                for pool in self._process_pools
-            ]
-            for shard, future in enumerate(futures):
-                self._resolve(shard, future)
-        else:
-            self._msbfs_seen = [
-                np.zeros(self.num_nodes, dtype=np.uint64)
-                for _ in range(self.num_shards)
-            ]
-            self._msbfs_levels = [
-                np.full((lanes, self.num_nodes), UNREACHED, dtype=np.int64)
-                for _ in range(self.num_shards)
-            ]
-
-    def _msbfs_dispatch(
-        self,
-        candidates: dict[int, tuple[np.ndarray, np.ndarray]],
-        depth: int,
-    ) -> dict[int, tuple[np.ndarray, np.ndarray, int, KernelMetrics | None]]:
-        """Run one MS-BFS superstep on every shard with incoming candidates."""
-        if self.backend == "inline":
-            return {
-                shard: _msbfs_step(
-                    self.engines[shard],
-                    self._msbfs_seen[shard],
-                    self._msbfs_levels[shard],
-                    nodes,
-                    masks,
-                    depth,
-                )
-                for shard, (nodes, masks) in candidates.items()
-            }
-        if self.backend == "thread":
-            assert self._thread_pool is not None
-            futures = {
-                shard: self._thread_pool.submit(
-                    _msbfs_step,
-                    self.engines[shard],
-                    self._msbfs_seen[shard],
-                    self._msbfs_levels[shard],
-                    nodes,
-                    masks,
-                    depth,
-                )
-                for shard, (nodes, masks) in candidates.items()
-            }
-        else:
-            futures = {
-                shard: self._process_pools[shard].submit(
-                    _process_worker_msbfs_step, nodes, masks, depth
-                )
-                for shard, (nodes, masks) in candidates.items()
-            }
-        return {
-            shard: self._resolve(shard, future)
-            for shard, future in futures.items()
-        }
-
-    def _msbfs_collect_levels(self, lanes: int) -> np.ndarray:
-        """Merge per-shard lane-level matrices over their owned node columns."""
-        lane_levels = np.full(
-            (lanes, self.num_nodes), UNREACHED, dtype=np.int64
-        )
-        if self.backend == "process":
-            futures = [
-                pool.submit(_process_worker_msbfs_levels)
-                for pool in self._process_pools
-            ]
-            shard_levels = [
-                self._resolve(shard, future)
-                for shard, future in enumerate(futures)
-            ]
-        else:
-            shard_levels = self._msbfs_levels
-        for shard, owned in enumerate(self.partition.shard_nodes):
-            lane_levels[:, owned] = shard_levels[shard][:, owned]
-        return lane_levels
 
     # -- work accounting -------------------------------------------------------
 
@@ -1132,22 +949,12 @@ class ShardExecutor:
             ).append(update)
 
         total = UpdateStats()
-        if self.backend == "process":
-            futures = {
-                shard: self._process_pools[shard].submit(
-                    _process_worker_apply, sub_batch
-                )
-                for shard, sub_batch in sub_batches.items()
-            }
-            for shard, future in futures.items():
-                total.merge(self._resolve(shard, future))
-            self._refresh_live_bits()
-        else:
-            for shard, sub_batch in sub_batches.items():
-                stats = self.overlays[shard].apply(sub_batch)
-                for node in stats.touched_nodes:
-                    self.plan_caches[shard].invalidate(node)
-                total.merge(stats)
+        results = self._on_shards(
+            "apply",
+            {shard: (sub_batch,) for shard, sub_batch in sub_batches.items()},
+        )
+        for stats in results.values():
+            total.merge(stats)
         if total.changed:
             self._epoch += 1
         self._num_edges += total.inserted - total.deleted
@@ -1171,8 +978,8 @@ class ShardExecutor:
         plan-cache *object* is kept and cleared (resident plans drop as
         evictions), mirroring :meth:`GraphRegistry.replace`.
 
-        Only the ``inline`` and ``thread`` backends can rebase (process
-        workers' overlay state lives out of reach, exactly like snapshot).
+        Only the ``inline`` backend can rebase (process workers' overlay
+        state lives out of reach, exactly like snapshot).
         Returns a summary dict: shard, new ``generation``, reclaimed
         ``garbage_bits`` and the new overlay ``epoch``.
         """
@@ -1182,13 +989,13 @@ class ShardExecutor:
             raise RuntimeError(
                 "cannot rebase a process-backed sharded entry: per-shard "
                 "overlay state lives in worker processes; use the 'inline' "
-                "or 'thread' backend for lifecycle maintenance"
+                "backend for lifecycle maintenance"
             )
         if not 0 <= shard < self.num_shards:
             raise IndexError(
                 f"shard {shard} out of range [0, {self.num_shards})"
             )
-        old = self.overlays[shard]
+        old = self._workers[shard].overlay
         reclaimed = old.garbage_bits
         merged = [old.neighbors(node) for node in range(old.num_nodes)]
         cgr = CGRGraph.from_adjacency(
@@ -1199,21 +1006,18 @@ class ShardExecutor:
         overlay.updates_applied = old.updates_applied
         overlay.updates_ignored = old.updates_ignored
         overlay.compactions = old.compactions
-        cache = self.plan_caches[shard]
+        cache = self._workers[shard].plan_cache
         cache.clear()
-        engine = GCGTEngine(
-            overlay, device=self.device, config=self.config, plan_cache=cache
+        self._workers[shard] = _ShardWorker(
+            overlay, self.device, self.config, cache
         )
         self.sharded.shards[shard] = cgr
-        self.overlays[shard] = overlay
-        self.engines[shard] = engine
         self.base_generations[shard] += 1
         # The coordinator epoch names sharded snapshot delta files
         # (shard-<i>-epoch-<E>.delta); a rebase changes the bit-level state
         # those files capture, so the epoch must advance or a later snapshot
         # would rewrite an already-published epoch's delta with new content.
         self._epoch += 1
-        self._final_live_bits = sum(o.live_bits for o in self.overlays)
         return {
             "shard": shard,
             "generation": self.base_generations[shard],
@@ -1252,53 +1056,43 @@ class ShardExecutor:
         self.supersteps += 1
         for shard in groups:
             self.shard_touches[shard] += 1
-        results = self._scatter(groups)
+        results = self._on_shards(
+            "expand_collect",
+            {shard: (shard_nodes,) for shard, shard_nodes in groups.items()},
+        )
+        self._charge(
+            {shard: metrics for shard, (_, metrics) in results.items()}
+        )
         merged: dict[int, list[int]] = {}
-        step_costs = []
-        for shard, (collected, metrics) in results.items():
-            self.kernel_metrics.merge(metrics)
-            step_costs.append(self.device.cost(metrics))
+        for collected, _ in results.values():
             for node, neighbors in collected.items():
                 merged[node] = neighbors
                 self.exchange_volume += len(neighbors)
-        if step_costs:
-            self.critical_cost += max(step_costs)
         return merged
 
     def adjacency(self) -> list[list[int]]:
         """Every node's merged live adjacency (updates applied), node order.
 
-        On the process backend this decodes through one scatter per node
-        block, so it is a test/checkpoint path, not a serving path.
+        Each shard reads its owned nodes straight off its overlay; no
+        simulated kernel runs and no counter moves.
         """
-        if self.backend == "process":
-            merged: list[list[int]] = [[] for _ in range(self.num_nodes)]
-            for shard, nodes in enumerate(self.partition.shard_nodes):
-                node_list = [int(n) for n in nodes]
-                if not node_list:
-                    continue
-                collected, _ = self._resolve(
-                    shard,
-                    self._process_pools[shard].submit(
-                        _process_worker_expand, node_list
-                    ),
-                )
-                for node in node_list:
-                    merged[node] = collected[node]
-            return merged
-        owner_of = self.partition.assignment
-        return [
-            self.overlays[int(owner_of[node])].neighbors(node)
-            for node in range(self.num_nodes)
-        ]
+        owned = {
+            shard: ([int(node) for node in nodes],)
+            for shard, nodes in enumerate(self.partition.shard_nodes)
+        }
+        merged: list[list[int]] = [[] for _ in range(self.num_nodes)]
+        for shard, lists in self._on_shards("neighbors", owned).items():
+            for node, neighbors in zip(owned[shard][0], lists):
+                merged[node] = neighbors
+        return merged
 
     # -- lifecycle -------------------------------------------------------------
 
     def close(self, timeout: float | None = None) -> None:
         """Shut worker pools down; the executor cannot expand afterwards.
 
-        Size/compression introspection stays available: the process backend
-        snapshots its workers' live-bit count before the pools go away.
+        Size/compression introspection stays available: the workers'
+        live-bit count is read one last time before the pools go away.
 
         ``timeout`` bounds the shutdown, in seconds shared across every
         worker: process workers still alive when their slice of the budget
@@ -1308,14 +1102,11 @@ class ShardExecutor:
         """
         if self._closed:
             return
-        if self.backend == "process":
-            try:
-                self._refresh_live_bits()
-            except Exception:  # pragma: no cover - already-broken pools
-                pass
+        try:
+            self._refresh_live_bits()
+        except ShardWorkerError:  # a dead worker keeps the last value
+            pass
         self._closed = True
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
         if timeout is None:
             for pool in self._process_pools:
                 pool.shutdown(wait=True)

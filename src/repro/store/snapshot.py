@@ -286,9 +286,9 @@ def write_snapshot(
     ``logical_epoch`` is the registry's effective-batch counter at capture
     time; a CDC follower resumes the change stream from it.
 
-    Sharded entries must run on the ``inline`` or ``thread`` backend: the
-    ``process`` backend's overlays live inside worker processes, where their
-    bit-level state cannot be captured.
+    Sharded entries must run on the ``inline`` backend: the ``process``
+    backend's overlays live inside worker processes, where their bit-level
+    state cannot be captured.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -314,7 +314,7 @@ def write_snapshot(
                 raise StoreError(
                     "cannot snapshot a process-backed sharded entry: per-shard "
                     "overlay state lives in worker processes; register with the "
-                    "'inline' or 'thread' backend to snapshot"
+                    "'inline' backend to snapshot"
                 )
             epoch = executor.epoch
             generations = list(executor.base_generations)
@@ -399,9 +399,8 @@ def restore_entry(
     older snapshot).  The base payloads are wrapped without re-encoding and
     every overlay's bit-level state is restored exactly, so queries on the
     restored entry -- including simulated costs -- match the snapshotted
-    service bit for bit.  Sharded restores accept only the ``inline`` and
-    ``thread`` backends (process workers cannot be seeded with overlay
-    state).
+    service bit for bit.  Sharded restores accept only the ``inline``
+    backend (process workers cannot be seeded with overlay state).
 
     ``manifest`` lets a caller that already validated the manifest (the
     registry's pre-restore collision check) pass it through instead of

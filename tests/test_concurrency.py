@@ -56,7 +56,7 @@ def _update_batches(graph, count=10, seed=11):
 def _register(service, graph, sharded):
     if sharded:
         service.register_graph(
-            "g", graph, shards=3, executor_backend="thread"
+            "g", graph, shards=3, executor_backend="inline"
         )
     else:
         service.register_graph("g", graph)

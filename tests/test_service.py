@@ -546,10 +546,28 @@ class TestDuplicateNameRejection:
         with pytest.raises(ValueError, match="different topology"):
             service.register_graph(
                 "web", three_graphs["brain"], shards=2,
-                executor_backend="thread",
+                executor_backend="process",
             )
         entry = service.registry.resolve("web")
         assert entry.executor is None
+        service.close()
+
+    def test_removed_thread_backend_is_rejected(self, three_graphs, tmp_path):
+        graph = three_graphs["web"]
+        service = TraversalService()
+        for shards in (None, 2):
+            with pytest.raises(ValueError, match=r"\('inline', 'process'\)"):
+                service.register_graph(
+                    "web", graph, shards=shards, executor_backend="thread"
+                )
+        assert service.registry.names() == []
+        assert service.registry.encode_calls == 0
+        service.register_graph("web", graph, shards=2)
+        service.save_graph("web", tmp_path / "snap")
+        restarted = TraversalService()
+        with pytest.raises(ValueError, match=r"\('inline', 'process'\)"):
+            restarted.load_graph(tmp_path / "snap", executor_backend="thread")
+        assert restarted.registry.names() == []
         service.close()
 
     def test_updates_do_not_count_as_divergence(self, three_graphs):

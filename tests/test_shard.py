@@ -465,35 +465,50 @@ class TestExecutorMechanics:
         assert 1.0 <= executor.parallel_speedup <= executor.num_shards
         assert executor.critical_elapsed_proxy() <= executor.elapsed_proxy()
 
-    def test_thread_backend_matches_inline(self, family_graphs):
-        graph = family_graphs["uniform-dense"]
-        sharded = ShardedCGRGraph.from_graph(graph, 3)
-        reference = ShardExecutor(sharded).bfs(0)
-        with ShardExecutor(sharded, backend="thread") as executor:
-            result = executor.bfs(0)
-            np.testing.assert_array_equal(result.levels, reference.levels)
-            generic = bfs(executor, 0)
-            np.testing.assert_array_equal(generic.levels, reference.levels)
-
     def test_process_backend_matches_inline_and_absorbs_updates(
         self, family_graphs
     ):
+        """Both backends run the same worker steps, so every answer, the
+        simulated cost and every counter agree, before and after updates."""
         graph = family_graphs["uniform-dense"]
         sharded = ShardedCGRGraph.from_graph(graph, 2)
         reference = ShardExecutor(sharded)
+        batch = [
+            EdgeUpdate.insert(0, 90),
+            EdgeUpdate.delete(0, graph.neighbors(0)[0]),
+            EdgeUpdate.insert(41, 3),
+        ]
+
+        def observe(executor):
+            return {
+                "bfs": executor.bfs(0).levels,
+                "generic_bfs": bfs(executor, 7).levels,
+                "msbfs": executor.msbfs([0, 5, 17, 5, 90]).lane_levels,
+                "cc": connected_components(executor).labels,
+                "gather": executor.gather_adjacency([0, 3, 41, 90]),
+                "adjacency": executor.adjacency(),
+                "critical_cost": executor.critical_cost,
+                "counters": executor.counters(),
+                "live_bits": executor.live_bits(),
+                "num_edges": executor.num_edges,
+                "epoch": executor.epoch,
+            }
+
+        def assert_same(got, want):
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                if isinstance(value, np.ndarray):
+                    np.testing.assert_array_equal(got[key], value, err_msg=key)
+                else:
+                    assert got[key] == value, key
+
         with ShardExecutor(sharded, backend="process") as executor:
-            np.testing.assert_array_equal(
-                executor.bfs(0).levels, reference.bfs(0).levels
+            assert_same(observe(executor), observe(reference))
+            assert executor.apply_updates(batch) == reference.apply_updates(
+                batch
             )
-            batch = [EdgeUpdate.insert(0, 90), EdgeUpdate.delete(0, graph.neighbors(0)[0])]
-            executor.apply_updates(batch)
-            reference.apply_updates(batch)
-            np.testing.assert_array_equal(
-                executor.bfs(0).levels, reference.bfs(0).levels
-            )
-            assert executor.num_edges == reference.num_edges
-            assert executor.live_bits() == reference.live_bits()
             assert executor.epoch > 0
+            assert_same(observe(executor), observe(reference))
 
     def test_closed_executor_refuses_work(self, family_graphs):
         executor = ShardExecutor(
@@ -509,8 +524,11 @@ class TestExecutorMechanics:
 
     def test_validation(self, family_graphs):
         sharded = ShardedCGRGraph.from_graph(family_graphs["power-law"], 2)
-        with pytest.raises(ValueError, match="backend"):
-            ShardExecutor(sharded, backend="gpu-cluster")
+        for backend in ("gpu-cluster", "thread"):
+            with pytest.raises(
+                ValueError, match=r"\('inline', 'process'\)"
+            ):
+                ShardExecutor(sharded, backend=backend)
         executor = ShardExecutor(sharded)
         with pytest.raises(IndexError):
             executor.bfs(10_000)
@@ -829,6 +847,33 @@ class TestExecutorRobustness:
         with pytest.raises(RuntimeError, match="closed"):
             executor.bfs(0)
 
+    def test_failed_worker_start_leaves_no_pool_running(
+        self, family_graphs, monkeypatch
+    ):
+        """When one shard's worker cannot start, construction fails and
+        the workers of the shards around it are shut down too."""
+        import multiprocessing
+
+        import repro.shard.executor as executor_module
+        from repro.shard import ShardWorkerError
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("a patched initializer reaches workers only by fork")
+        sharded = ShardedCGRGraph.from_graph(family_graphs["uniform-dense"], 3)
+        failing = sharded.shard_adjacency(1)
+        build = executor_module._process_worker_init
+
+        def init(adjacency, *args):
+            if adjacency == failing:
+                raise RuntimeError("shard 1 cannot start")
+            build(adjacency, *args)
+
+        monkeypatch.setattr(executor_module, "_process_worker_init", init)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ShardWorkerError, match="shard 1"):
+            ShardExecutor(sharded, backend="process")
+        assert set(multiprocessing.active_children()) <= before
+
     def test_close_timeout_on_healthy_pool_still_joins_cleanly(
         self, family_graphs
     ):
@@ -839,7 +884,7 @@ class TestExecutorRobustness:
         executor.close(timeout=10.0)
         executor.close(timeout=10.0)  # idempotent
 
-    @pytest.mark.parametrize("backend", ["inline", "thread"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_checkpoint_polled_between_supersteps(self, family_graphs, backend):
         """An installed checkpoint runs once per superstep and its exception
         aborts the traversal between supersteps, leaving counters consistent."""
